@@ -47,7 +47,6 @@ from .polynomials import (
     PolySystem,
     dehomogenize,
     homogenize,
-    leading_form,
     m0_set,
     mono_key,
     monomials_of_degree,
@@ -55,7 +54,6 @@ from .polynomials import (
 from .resultants import (
     ClassicalSubresultantSequence,
     classical_subresultants,
-    macaulay_matrices,
     resultant_macaulay,
     sylvester_resultant,
 )

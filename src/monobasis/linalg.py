@@ -1,8 +1,20 @@
-"""Dense exact matrices over Q or F_p.
+"""Dense exact matrices over Q or F_p, on one elimination kernel.
 
-Determinants use fraction-free (Bareiss) elimination over the rationals
-and plain Gaussian elimination modulo p; pivot choice is always the first
-non-zero entry in a fixed scan order, so every run is reproducible.
+Determinant, rank, solve and the choice of a non-zero maximal minor are
+all read off one forward elimination to row echelon form, ``_echelon``.
+Over F_p it is Gaussian elimination on plain ints in [0, p).  Over Q each
+row is first cleared to integers by its own common denominator and the
+elimination is fraction-free (Bareiss, Math. Comp. 1968): no Fraction is
+built inside the loop, only the final answers are rationals.  Which of
+the two arithmetics runs is decided once per call.
+
+The pivot of each column is its first non-zero entry in row order, so
+the pivot columns are exactly the columns that a left-to-right scan finds
+independent of those before it: they are the deterministic greedy choice
+of a non-zero maximal minor, and every run is reproducible.  The value of
+that minor comes from the same pass: over Z the last Bareiss pivot is the
+minor of the row-scaled matrix, and mod p it is the product of the
+pivots, each times the sign of the row swaps.
 """
 from __future__ import annotations
 
@@ -16,70 +28,105 @@ from .fields import FpElement, PrimeField
 __all__ = ["Matrix", "MinorSelection", "select_nonzero_maximal_minor"]
 
 
-def _raw(field, rows):
-    """Unwrap to plain ints (mod p) or Fractions for the inner loops."""
+@dataclass(frozen=True)
+class _Echelon:
+    """Row echelon form: pivots[k] is the pivot column of echelon row k.
+
+    The rows keep their full width; entries left of a row's pivot are
+    stale and never read.
+    """
+
+    pivots: list
+    rows: list
+    sign: int  # (-1)^(number of row swaps)
+    scale: int  # product of the row denominators cleared over Q; 1 mod p
+    p: object  # the prime, or None over Q
+
+    def minor(self):
+        """The minor on every row and the pivot columns (one pivot per row)."""
+        if self.p:
+            value = self.sign
+            for c, row in zip(self.pivots, self.rows):
+                value = value * row[c] % self.p
+            return FpElement(value, self.p)
+        last = self.rows[-1][self.pivots[-1]] if self.rows else 1
+        return Fraction(self.sign * last, self.scale)
+
+    def solution(self, m: int, k: int) -> list:
+        """Rows of X with A X = B for the eliminated [A | B] (A has m
+        columns, B has k), free variables zero; needs no pivot in B."""
+        p = self.p
+        # over Z, d * X is integral for d the last pivot (Cramer's rule on
+        # the pivot rows), so the back-substitution divides exactly
+        d = 1 if p or not self.rows else self.rows[-1][self.pivots[-1]]
+        x = [[0] * k for _ in range(m)]
+        solved = []
+        for c, row in zip(reversed(self.pivots), reversed(self.rows)):
+            acc = [d * b for b in row[m:]]
+            for c2 in solved:
+                f = row[c2]
+                if f:
+                    acc = [a - f * y for a, y in zip(acc, x[c2])]
+            if p:
+                inv = pow(row[c], -1, p)
+                x[c] = [a * inv % p for a in acc]
+            else:
+                x[c] = [a // row[c] for a in acc]
+            solved.append(c)
+        if p:
+            return [[FpElement(v, p) for v in row] for row in x]
+        return [[Fraction(v, d) for v in row] for row in x]
+
+
+def _echelon(field, rows, ncols: int) -> _Echelon:
+    """Forward elimination of ``rows`` (lists of field elements)."""
     if isinstance(field, PrimeField):
-        return [[e.val for e in row] for row in rows], field.p
-    return [[Fraction(e) for e in row] for row in rows], None
+        p, scale = field.p, 1
+        work = [[e.val for e in row] for row in rows]
 
+        def eliminate(below, c, pivot, prev):
+            inv = pow(pivot[c], -1, p)
+            # the matrices are sparse: only the pivot row's non-zeros move a row
+            tail = [(j, y) for j, y in enumerate(pivot[c + 1:], c + 1) if y]
+            for r in below:
+                if r[c]:
+                    f = r[c] * inv % p
+                    for j, y in tail:
+                        r[j] = (r[j] - f * y) % p
 
-def _wrap(field, value):
-    if isinstance(field, PrimeField):
-        return FpElement(value, field.p)
-    return Fraction(value)
+    else:
+        p, scale, work = None, 1, []
+        for row in rows:
+            den = lcm(*(e.denominator for e in row))
+            scale *= den
+            work.append([e.numerator * (den // e.denominator) for e in row])
 
+        def eliminate(below, c, pivot, prev):
+            # every entry stays a minor of the matrix, so // divides exactly
+            pv, tail = pivot[c], pivot[c + 1:]
+            for r in below:
+                f = r[c]
+                if f:
+                    r[c + 1:] = [(pv * x - f * y) // prev for x, y in zip(r[c + 1:], tail)]
+                else:
+                    r[c + 1:] = [pv * x // prev if x else 0 for x in r[c + 1:]]
 
-def _det_mod(rows, p: int) -> int:
-    n = len(rows)
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] % p), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        pv = rows[col][col] % p
-        det = det * pv % p
-        inv = pow(pv, p - 2, p)
-        for r in range(col + 1, n):
-            f = rows[r][col] % p
-            if f:
-                mult = f * inv % p
-                rr, rc = rows[r], rows[col]
-                for c in range(col, n):
-                    rr[c] = (rr[c] - mult * rc[c]) % p
-    return det % p
-
-
-def _det_bareiss(rows) -> Fraction:
-    # scale each row to integers, run integer Bareiss, undo the scaling
-    n = len(rows)
-    scale = 1
-    int_rows = []
-    for row in rows:
-        mult = lcm(*(f.denominator for f in row)) if row else 1
-        scale *= mult
-        int_rows.append([int(f * mult) for f in row])
-    m = int_rows
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if m[r][k]), None)
-            if piv is None:
-                return Fraction(0)
-            m[k], m[piv] = m[piv], m[k]
+    pivots, echelon, sign, prev = [], [], 1, 1
+    for c in range(ncols):
+        if not work:
+            break
+        k = next((i for i, r in enumerate(work) if r[c]), None)
+        if k is None:
+            continue
+        if k:
+            work[0], work[k] = work[k], work[0]
             sign = -sign
-        akk = m[k][k]
-        for i in range(k + 1, n):
-            mi, mk = m[i], m[k]
-            aik = mi[k]
-            for j in range(k + 1, n):
-                mi[j] = (mi[j] * akk - aik * mk[j]) // prev
-            mi[k] = 0
-        prev = akk
-    return Fraction(sign * m[n - 1][n - 1], scale)
+        pivot = work.pop(0)
+        pivots.append(c)
+        echelon.append(pivot)
+        eliminate(work, c, pivot, prev)
+        prev = pivot[c]
+    return _Echelon(pivots, echelon, sign, scale, p)
 
 
 class Matrix:
@@ -185,70 +232,28 @@ class Matrix:
     def det(self):
         if self.nrows != self.ncols:
             raise ShapeError("determinant of a non-square matrix")
-        if self.nrows == 0:
-            return self.field.one
-        raw, p = _raw(self.field, self.rows)
-        if p is not None:
-            return _wrap(self.field, _det_mod(raw, p))
-        return _det_bareiss(raw)
+        ech = _echelon(self.field, self.rows, self.ncols)
+        if len(ech.pivots) < self.nrows:
+            return self.field.zero
+        return ech.minor()
 
     def rank(self) -> int:
-        raw, p = _raw(self.field, self.rows)
-        return _echelon_rank(raw, p, self.ncols)
+        return len(_echelon(self.field, self.rows, self.ncols).pivots)
 
     def solve(self, rhs: "Matrix"):
         """A particular solution X of self @ X = rhs, or None if inconsistent.
 
-        Free variables are set to zero; the pivot scan order is fixed, so
-        the returned solution is deterministic.
+        Free variables are set to zero; the pivot columns are fixed by the
+        scan order, so the returned solution is deterministic.
         """
         if rhs.nrows != self.nrows:
             raise ShapeError("right-hand side has the wrong number of rows")
-        a, p = _raw(self.field, self.rows)
-        b, _ = _raw(self.field, rhs.rows)
-        aug = [a[i] + b[i] for i in range(self.nrows)]
-        n, m, k = self.nrows, self.ncols, rhs.ncols
-        width = m + k
-        pivots = []
-        r = 0
-        for c in range(m):
-            piv = None
-            for i in range(r, n):
-                if (aug[i][c] % p if p else aug[i][c]) != 0:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            aug[r], aug[piv] = aug[piv], aug[r]
-            pv = aug[r][c]
-            inv = pow(pv, p - 2, p) if p else 1 / pv
-            aug[r] = [
-                (e * inv % p) if p else e * inv for e in aug[r]
-            ]
-            for i in range(n):
-                if i != r:
-                    f = aug[i][c] % p if p else aug[i][c]
-                    if f:
-                        ar = aug[r]
-                        ai = aug[i]
-                        for j in range(c, width):
-                            ai[j] = (ai[j] - f * ar[j]) % p if p else ai[j] - f * ar[j]
-            pivots.append((r, c))
-            r += 1
-            if r == n:
-                break
-        for i in range(r, n):
-            if any((aug[i][j] % p if p else aug[i][j]) != 0 for j in range(m, width)):
-                return None
-        sol = [[0 if p else Fraction(0)] * k for _ in range(m)]
-        for rr, c in pivots:
-            for j in range(k):
-                sol[c][j] = aug[rr][m + j]
-        return Matrix(
-            self.field,
-            [[_wrap(self.field, v) for v in row] for row in sol],
-            ncols=k,
-        )
+        m, k = self.ncols, rhs.ncols
+        aug = [a + b for a, b in zip(self.rows, rhs.rows)]
+        ech = _echelon(self.field, aug, m + k)
+        if ech.pivots and ech.pivots[-1] >= m:
+            return None
+        return Matrix(self.field, ech.solution(m, k), ncols=k)
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
@@ -260,32 +265,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field.name})"
-
-
-def _echelon_rank(rows, p, ncols) -> int:
-    rank = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if (rows[i][c] % p if p else rows[i][c]) != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][c]
-        for i in range(rank + 1, nrows):
-            f = rows[i][c] % p if p else rows[i][c]
-            if f:
-                mult = (f * pow(pv, p - 2, p) % p) if p else f / pv
-                ri, rr = rows[i], rows[rank]
-                for j in range(c, ncols):
-                    ri[j] = (ri[j] - mult * rr[j]) % p if p else ri[j] - mult * rr[j]
-        rank += 1
-        if rank == min(nrows, ncols):
-            break
-    return rank
 
 
 @dataclass(frozen=True)
@@ -301,48 +280,26 @@ def select_nonzero_maximal_minor(m: Matrix, axis: str) -> MinorSelection:
     """Deterministic greedy choice of a non-zero maximal minor.
 
     ``axis="cols"`` assumes the matrix is onto (full row rank) and picks
-    column indices; ``axis="rows"`` assumes it is into (full column rank)
-    and picks row indices.  Raises NotFullRank when the assumption fails.
+    the pivot columns of m; ``axis="rows"`` assumes it is into (full
+    column rank) and picks the pivot columns of its transpose.  Raises
+    NotFullRank when the assumption fails.
     """
     if axis == "cols":
         target = m.nrows
-        vec_count = m.ncols
-        get = lambda idx: [m.rows[i][idx] for i in range(m.nrows)]
+        ech = _echelon(m.field, m.rows, m.ncols)
     elif axis == "rows":
         target = m.ncols
-        vec_count = m.nrows
-        get = lambda idx: list(m.rows[idx])
+        ech = _echelon(m.field, [[r[j] for r in m.rows] for j in range(m.ncols)], m.nrows)
     else:
         raise ValueError("axis must be 'rows' or 'cols'")
-
-    p = m.field.p if isinstance(m.field, PrimeField) else None
-    chosen = []
-    basis = []  # (pivot position, normalized reduced vector)
-    for idx in range(vec_count):
-        if len(chosen) == target:
-            break
-        raw = get(idx)
-        v = [e.val for e in raw] if p else [Fraction(e) for e in raw]
-        for pos, bv in basis:
-            f = v[pos]
-            if f:
-                for j in range(len(v)):
-                    v[j] = (v[j] - f * bv[j]) % p if p else v[j] - f * bv[j]
-        pos = next((j for j, e in enumerate(v) if (e % p if p else e) != 0), None)
-        if pos is None:
-            continue
-        inv = pow(v[pos], p - 2, p) if p else 1 / v[pos]
-        v = [(e * inv % p) if p else e * inv for e in v]
-        basis.append((pos, v))
-        chosen.append(idx)
-    if len(chosen) < target:
+    if len(ech.pivots) < target:
         raise NotFullRank(
             f"no non-zero maximal minor along axis={axis} "
-            f"({len(chosen)} of {target} independent vectors)"
+            f"({len(ech.pivots)} of {target} independent vectors)"
         )
+    chosen = tuple(ech.pivots)
     if axis == "cols":
-        rows, cols = tuple(range(m.nrows)), tuple(chosen)
+        rows, cols = tuple(range(m.nrows)), chosen
     else:
-        rows, cols = tuple(chosen), tuple(range(m.ncols))
-    value = m.submatrix(rows, cols).det()
-    return MinorSelection(rows, cols, value)
+        rows, cols = chosen, tuple(range(m.ncols))
+    return MinorSelection(rows, cols, ech.minor())

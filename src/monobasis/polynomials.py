@@ -17,10 +17,6 @@ from .errors import DegreeError, InputError, ShapeError
 Monomial = tuple
 
 
-def mono_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -260,11 +256,6 @@ def dehomogenize(p: MultiPoly) -> MultiPoly:
         key = m[1:]
         out[key] = out.get(key, zero) + c
     return MultiPoly(p.field, p.nvars - 1, out)
-
-
-def leading_form(p: MultiPoly, d: int) -> MultiPoly:
-    """The homogeneous component of p of degree d (possibly zero)."""
-    return p.homogeneous_component(d)
 
 
 def _poly_det(entries) -> MultiPoly:

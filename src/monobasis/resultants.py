@@ -24,9 +24,7 @@ from .polynomials import (
 __all__ = [
     "ClassicalSubresultantSequence",
     "classical_subresultants",
-    "macaulay_matrices",
     "macaulay_row_monomials",
-    "reduced_monomials",
     "resultant_macaulay",
     "sylvester_resultant",
 ]
@@ -46,16 +44,6 @@ def macaulay_row_monomials(degrees, nvars: int, t: int) -> list:
     return rows
 
 
-def reduced_monomials(degrees, nvars: int, t: int) -> list:
-    """Degree-t monomials with a_i < d_i for every affine variable x_i."""
-    offset = nvars - len(degrees)
-    return [
-        m
-        for m in monomials_of_degree(nvars, t)
-        if all(m[offset + j] < degrees[j] for j in range(len(degrees)))
-    ]
-
-
 def _phi_matrix(sys: PolySystem, t: int, columns, rows) -> Matrix:
     """Matrix of (p_1, ..., p_n) -> sum p_i f_i on the given row/column labels."""
     field = sys.field
@@ -72,36 +60,6 @@ def _phi_matrix(sys: PolySystem, t: int, columns, rows) -> Matrix:
     return Matrix(
         sys.field, grid, ncols=len(columns), row_labels=rows, col_labels=tuple(columns)
     )
-
-
-def macaulay_matrices(sys: PolySystem, t: int, deleted) -> tuple:
-    """The square Macaulay-style matrices (M, M').
-
-    M keeps the degree-t monomial columns outside ``deleted``; M' uses the
-    reduced monomials (a_i < d_i for all i) as the deleted set instead.
-    """
-    for f, d in zip(sys.polys, sys.degrees):
-        if not f.is_homogeneous_of(d):
-            raise InputError("Macaulay matrices need homogeneous input forms")
-    if t < max(sys.degrees):
-        raise InputError(f"degree {t} below max declared degree")
-    v = sys.nvars
-    all_monos = monomials_of_degree(v, t)
-    mono_set = set(all_monos)
-    deleted = [tuple(m) for m in deleted]
-    if len(set(deleted)) != len(deleted) or any(m not in mono_set for m in deleted):
-        raise InputError("deleted set must be distinct degree-t monomials")
-    rows = macaulay_row_monomials(sys.degrees, v, t)
-    if len(all_monos) - len(deleted) != len(rows):
-        raise InputError(
-            f"deleting {len(deleted)} of {len(all_monos)} columns does not "
-            f"square off {len(rows)} rows"
-        )
-    reduced = set(reduced_monomials(sys.degrees, v, t))
-    del_set = set(deleted)
-    m = _phi_matrix(sys, t, [c for c in all_monos if c not in del_set], rows)
-    m_prime = _phi_matrix(sys, t, [c for c in all_monos if c not in reduced], rows)
-    return m, m_prime
 
 
 def _macaulay_numerator_rows(degrees, nvars, t):

@@ -9,11 +9,12 @@ these systems good stress inputs for the certification identities.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 from .errors import InputError, NotFullRank, ShapeError
-from .fields import PrimeField, RationalField
+from .fields import PrimeField, RationalField, is_prime
 from .linalg import Matrix
 from .polynomials import MultiPoly, PolySystem
 
@@ -26,6 +27,7 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=32)
 def primitive_root(p: int) -> int:
     """Smallest generator of the multiplicative group of F_p."""
     if p == 2:
@@ -33,11 +35,13 @@ def primitive_root(p: int) -> int:
     factors = set()
     m = p - 1
     d = 2
-    while d * d <= m:
+    # trial division only until the cofactor is prime
+    while m > 1 and not is_prime(m):
+        while m % d:
+            d += 1
+        factors.add(d)
         while m % d == 0:
-            factors.add(d)
             m //= d
-        d += 1
     if m > 1:
         factors.add(m)
     for g in range(2, p):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from monobasis import GF, QQ, FpElement, InputError, field_from_spec
+from monobasis import GF, QQ, FpElement, InputError, field_from_spec, primitive_root
 from monobasis.fields import is_prime
 
 
@@ -69,3 +69,27 @@ def test_int_coercion_in_operators():
     assert 9 + F.of(5) == F.of(1)
     assert 2 * F.of(7) == F.of(1)
     assert isinstance(F.of(3) / 2, FpElement)
+
+
+@pytest.mark.parametrize(
+    "p, factors",
+    [
+        (2**62 - 57, (2, 3, 1289, 198762435067123)),  # p - 1 = 2 * 3^2 * 1289 * q
+        (101, (2, 5)),
+        (13, (2, 3)),
+    ],
+)
+def test_primitive_root_is_smallest_generator(p, factors):
+    m = p - 1
+    for q in factors:
+        assert is_prime(q) and m % q == 0
+        while m % q == 0:
+            m //= q
+    assert m == 1
+
+    def generates(g):
+        return all(pow(g, (p - 1) // q, p) != 1 for q in factors)
+
+    g = primitive_root(p)
+    assert generates(g)
+    assert not any(generates(h) for h in range(2, g))

@@ -144,3 +144,146 @@ def test_minor_selection_exhaustive_consistency():
             continue
         assert bool(sel.minor_value)
         assert m.submatrix(range(2), sel.col_indices).det() == sel.minor_value
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernel against brute force over every minor
+
+
+def _random_entry(field, rng, den):
+    if field is QQ:
+        return Fraction(rng.randrange(-9, 10), rng.choice(den))
+    return field.of(rng.randrange(101))
+
+
+def random_matrix(field, rng, nrows, ncols):
+    """Random entries, often rank-deficient: some rows are combinations of
+    others and some columns multiples of their left neighbour.  Over Q
+    every row draws its denominators from its own set."""
+    rank = rng.randrange(0, min(nrows, ncols) + 1) if rng.random() < 0.5 else nrows
+    rows = []
+    for i in range(nrows):
+        den = rng.sample(range(1, 13), 3)
+        if i < rank or not rows:
+            rows.append([_random_entry(field, rng, den) for _ in range(ncols)])
+        else:
+            coeffs = [_random_entry(field, rng, den) for _ in rows]
+            rows.append([sum((c * r[j] for c, r in zip(coeffs, rows)), field.zero)
+                         for j in range(ncols)])
+    rng.shuffle(rows)
+    # some columns repeat a multiple of the one before, so that the
+    # greedy choice has to skip them
+    for j in range(1, ncols):
+        if rng.random() < 0.3:
+            c = field.of(rng.randrange(0, 3))
+            for r in rows:
+                r[j] = c * r[j - 1]
+    return rows
+
+
+def lex_first_minor(rows, nrows, ncols, axis, field):
+    """The lexicographically first index set with a non-zero cofactor
+    determinant, and that determinant; None when there is none."""
+    if axis == "cols":
+        candidates = itertools.combinations(range(ncols), nrows)
+        pick = lambda idx: [[r[j] for j in idx] for r in rows]
+    else:
+        candidates = itertools.combinations(range(nrows), ncols)
+        pick = lambda idx: [rows[i] for i in idx]
+    for idx in candidates:
+        d = cofactor_det(pick(idx), field.zero, field.one)
+        if d:
+            return idx, d
+    return None
+
+
+def cofactor_rank(rows, nrows, ncols, field):
+    for size in range(min(nrows, ncols), 0, -1):
+        for ri in itertools.combinations(range(nrows), size):
+            for ci in itertools.combinations(range(ncols), size):
+                if cofactor_det([[rows[i][j] for j in ci] for i in ri], field.zero, field.one):
+                    return size
+    return 0
+
+
+FIELDS = pytest.mark.parametrize("field", [F101, QQ], ids=["F101", "Q"])
+
+
+@FIELDS
+@pytest.mark.parametrize("axis", ["cols", "rows"])
+def test_minor_selection_is_lex_first_nonzero_minor(field, axis):
+    rng = random.Random(f"select-{axis}-{field.name}")
+    for _ in range(200):
+        nrows = rng.randrange(0, 5)
+        ncols = max(0, nrows + rng.randrange(-1, 3))
+        rows = random_matrix(field, rng, nrows, ncols)
+        if axis == "rows":
+            # transposed, so that the repeated columns become repeated rows
+            rows = [[r[j] for r in rows] for j in range(ncols)]
+            nrows, ncols = ncols, nrows
+        m = Matrix(field, rows, ncols=ncols)
+        want = lex_first_minor(rows, nrows, ncols, axis, field)
+        if want is None:
+            with pytest.raises(NotFullRank):
+                select_nonzero_maximal_minor(m, axis)
+            continue
+        sel = select_nonzero_maximal_minor(m, axis)
+        idx, value = want
+        chosen = sel.col_indices if axis == "cols" else sel.row_indices
+        other = sel.row_indices if axis == "cols" else sel.col_indices
+        assert chosen == idx
+        assert other == tuple(range(nrows if axis == "cols" else ncols))
+        assert sel.minor_value == value
+        assert m.submatrix(sel.row_indices, sel.col_indices).det() == value
+
+
+@FIELDS
+def test_rank_is_largest_nonzero_minor(field):
+    rng = random.Random(f"rank-{field.name}")
+    for _ in range(150):
+        nrows, ncols = rng.randrange(0, 5), rng.randrange(0, 5)
+        rows = random_matrix(field, rng, nrows, ncols)
+        assert Matrix(field, rows, ncols=ncols).rank() == cofactor_rank(rows, nrows, ncols, field)
+
+
+@FIELDS
+def test_solve_exact_or_none(field):
+    rng = random.Random(f"solve-{field.name}")
+    for _ in range(150):
+        nrows, ncols, k = rng.randrange(0, 5), rng.randrange(0, 5), rng.randrange(1, 3)
+        rows = random_matrix(field, rng, nrows, ncols + k)
+        if rng.random() < 0.5 and ncols:
+            # make B a combination of A's columns so that a solution exists
+            for r in rows:
+                r[ncols:] = [sum((r[j] * (i + j) for j in range(ncols)), field.zero)
+                             for i in range(k)]
+        a = Matrix(field, [r[:ncols] for r in rows], ncols=ncols)
+        b = Matrix(field, [r[ncols:] for r in rows], ncols=k)
+        consistent = cofactor_rank(rows, nrows, ncols + k, field) == cofactor_rank(
+            [r[:ncols] for r in rows], nrows, ncols, field)
+        x = a.solve(b)
+        if not consistent:
+            assert x is None
+            continue
+        assert x is not None and (x.nrows, x.ncols) == (ncols, k)
+        assert a @ x == b
+
+
+@FIELDS
+def test_edge_shapes(field):
+    zero_by_three = Matrix(field, [], ncols=3)
+    three_by_zero = Matrix(field, [[], [], []], ncols=0)
+    assert Matrix(field, [], ncols=0).det() == field.one
+    assert zero_by_three.rank() == 0 and three_by_zero.rank() == 0
+    sel = select_nonzero_maximal_minor(zero_by_three, "cols")
+    assert (sel.row_indices, sel.col_indices, sel.minor_value) == ((), (), field.one)
+    sel = select_nonzero_maximal_minor(three_by_zero, "rows")
+    assert (sel.row_indices, sel.col_indices, sel.minor_value) == ((), (), field.one)
+    with pytest.raises(NotFullRank):
+        select_nonzero_maximal_minor(three_by_zero, "cols")
+    with pytest.raises(NotFullRank):
+        select_nonzero_maximal_minor(zero_by_three, "rows")
+    x = zero_by_three.solve(Matrix(field, [], ncols=2))
+    assert (x.nrows, x.ncols) == (3, 2) and x.is_zero()
+    assert three_by_zero.solve(Matrix.zeros(field, 3, 1)) == Matrix(field, [], ncols=1)
+    assert three_by_zero.solve(Matrix(field, [[field.one], [field.zero], [field.zero]])) is None
