@@ -2,8 +2,8 @@
 
 The headline test multiplies the resultant of the leading forms by the
 multivariate subresultant of the homogenized set at level delta(M); the
-set is a basis exactly when the product is non-zero.  An independent rank
-test on the graded pieces provides the cross-checking oracle, and the
+set is a basis exactly when the product is non-zero.  An independent test
+by ranks of Macaulay matrices provides the cross-checking oracle, and the
 generalized Vandermonde identities tie both to root data on systems whose
 roots are known in closed form.
 """
@@ -21,10 +21,9 @@ from .polynomials import (
     PolySystem,
     homogenize,
     m0_set,
-    mono_key,
     monomials_of_degree,
 )
-from .resultants import classical_subresultants, resultant_macaulay
+from .resultants import classical_subresultants, macaulay_matrix, resultant_macaulay
 from .subresultants import subresultant_D, subresultant_delta
 
 __all__ = [
@@ -65,17 +64,24 @@ def degree_bound_reject(M: MonomialSet, profile: DegreeProfile) -> bool:
     return M.delta < profile.rho
 
 
-def certify_basis(sys: PolySystem, M: MonomialSet) -> BasisCertificate:
-    """Res(leading forms) * Delta^delta(M_delta): non-zero iff M is a basis."""
-    profile = DegreeProfile(sys.degrees)
+def _check_question(sys: PolySystem, M: MonomialSet) -> DegreeProfile:
+    """Validate a basis question: a square affine system f_1..f_n in
+    x_1..x_n and a set M of d_1*...*d_n monomials in the same variables."""
     if sys.nvars != sys.n:
         raise ShapeError("certification expects an affine square system")
     if M.nvars != sys.n:
         raise ShapeError("monomial set lives in the wrong variable count")
+    profile = DegreeProfile(sys.degrees)
     if len(M) != profile.bezout:
         raise InputError(
             f"candidate set has {len(M)} monomials, expected {profile.bezout}"
         )
+    return profile
+
+
+def certify_basis(sys: PolySystem, M: MonomialSet) -> BasisCertificate:
+    """Res(leading forms) * Delta^delta(M_delta): non-zero iff M is a basis."""
+    _check_question(sys, M)
     res = resultant_macaulay(sys.leading_forms())
     delta = M.delta
     sub = subresultant_delta(sys.homogenized(), delta, M.homogenized_at(delta))
@@ -88,48 +94,28 @@ def certify_basis(sys: PolySystem, M: MonomialSet) -> BasisCertificate:
 # the independent rank test
 
 
-def _poly_row(poly: MultiPoly, index: dict, width: int):
-    row = [poly.field.zero] * width
-    for m, c in poly.terms.items():
-        row[index[m]] = c
-    return row
-
-
-def _graded_generators(hom: PolySystem, t: int):
-    """Rows spanning the degree-t piece of the ideal (all monomial multiples)."""
-    rows = []
-    for f, d in zip(hom.polys, hom.degrees):
-        for b in monomials_of_degree(hom.nvars, t - d):
-            rows.append(MultiPoly.monomial(hom.field, b) * f)
-    return rows
-
-
 def rank_oracle(sys: PolySystem, M: MonomialSet) -> bool:
-    """Plain-rank reformulation of the basis test at t = max(delta, rho).
+    """The basis test as two rank tests on Macaulay matrices.
 
-    Deliberately avoids complexes and determinants: M is a basis iff the
-    graded ideal piece has codimension bezout and the homogenized set
-    completes it to the whole degree-t space.
+    Uses no complex and no determinant, so it checks the certificate
+    independently.  First, Res(leading forms) != 0 exactly when the
+    Macaulay map of the leading forms is onto in degree rho + 1 (Macaulay
+    1902).  Then the homogenized system is a regular sequence in x0..xn
+    (its zeros miss x0 = 0), so for every t >= rho the degree-t piece of
+    its ideal has codimension H(t) = d_1*...*d_n = #M, which needs no
+    separate check, and x0 is a non-zero-divisor modulo it, so the degree-t
+    quotient is the affine quotient.  Hence, at t = max(delta, rho), M is a
+    basis exactly when the Macaulay map of the homogenized system is onto
+    the degree-t monomials outside M_t.
     """
-    profile = DegreeProfile(sys.degrees)
-    if not resultant_macaulay(sys.leading_forms()):
+    profile = _check_question(sys, M)
+    top = monomials_of_degree(sys.n, profile.rho + 1)
+    if macaulay_matrix(sys.leading_forms(), top).rank() < len(top):
         return False
     t = max(M.delta, profile.rho)
-    hom = sys.homogenized()
-    monos = monomials_of_degree(hom.nvars, t)
-    index = {m: i for i, m in enumerate(monos)}
-    width = len(monos)
-    gen_rows = [_poly_row(p, index, width) for p in _graded_generators(hom, t)]
-    ideal = Matrix(sys.field, gen_rows, ncols=width)
-    if ideal.rank() != width - profile.bezout:
-        return False
-    extra = []
-    for m in M.homogenized_at(t):
-        row = [sys.field.zero] * width
-        row[index[m]] = sys.field.one
-        extra.append(row)
-    full = Matrix(sys.field, gen_rows + extra, ncols=width)
-    return full.rank() == width
+    inside = set(M.homogenized_at(t))
+    outside = [m for m in monomials_of_degree(sys.n + 1, t) if m not in inside]
+    return macaulay_matrix(sys.homogenized(), outside).rank() == len(outside)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +194,7 @@ def vandermonde_verify(sys: PolySystem, roots, M: MonomialSet) -> VandermondeRep
     be a common zero.  For M = M0 the exact sign constant of the classical
     identity is checked as well.
     """
-    profile = DegreeProfile(sys.degrees)
+    profile = _check_question(sys, M)
     field = sys.field
     roots = [tuple(field.of(x) for x in pt) for pt in roots]
     if len(roots) != profile.bezout:
@@ -219,14 +205,12 @@ def vandermonde_verify(sys: PolySystem, roots, M: MonomialSet) -> VandermondeRep
         for f in sys.polys:
             if f.evaluate(pt):
                 raise InputError(f"supplied point {pt} is not a common root")
-    if len(M) != profile.bezout:
-        raise InputError("monomial set must have bezout-many elements")
 
     cols = list(M)
     grid = [
         [MultiPoly.monomial(field, m).evaluate(pt) for m in cols] for pt in roots
     ]
-    mat = Matrix(field, grid, ncols=len(cols), col_labels=cols)
+    mat = Matrix(field, grid, ncols=len(cols))
     det_value = mat.det()
 
     jac = sys.jacobian()
@@ -332,34 +316,27 @@ def multiplication_matrix(
     profile = DegreeProfile(sys.degrees)
     d = profile.bezout
     field = sys.field
-    delta = M.delta
     if g.is_zero():
         return MultiplicationMatrix(Matrix.zeros(field, d, d), g, d)
-    t = max(profile.rho, delta + int(g.degree))
-    hom = sys.homogenized()
-    monos = monomials_of_degree(hom.nvars, t)
-    index = {m: i for i, m in enumerate(monos)}
-    width = len(monos)
-
-    gens = _graded_generators(hom, t)
-    columns = [_poly_row(p, index, width) for p in gens]
-    basis_cols = []
-    for m in M.homogenized_at(t):
-        col = [field.zero] * width
-        col[index[m]] = field.one
-        basis_cols.append(col)
-    a = Matrix(field, list(map(list, zip(*(columns + basis_cols)))), ncols=len(columns) + d)
-
-    rhs_cols = []
-    for m in M:
-        prod = MultiPoly.monomial(field, m) * g
-        lifted = homogenize(prod, t)
-        rhs_cols.append(_poly_row(lifted, index, width))
-    b = Matrix(field, list(map(list, zip(*rhs_cols))), ncols=d)
+    t = max(profile.rho, M.delta + int(g.degree))
+    monos = monomials_of_degree(sys.n + 1, t)
+    gens = macaulay_matrix(sys.homogenized(), monos)
+    basis = M.homogenized_at(t)
+    # unknowns: one coefficient per generator, then the d M-coordinates
+    a = Matrix(
+        field,
+        [
+            [row[r] for row in gens.rows]
+            + [field.one if m == u else field.zero for u in basis]
+            for r, m in enumerate(monos)
+        ],
+        ncols=gens.nrows + d,
+    )
+    products = [homogenize(MultiPoly.monomial(field, m) * g, t) for m in M]
+    b = Matrix(field, [[p.coefficient(m) for p in products] for m in monos], ncols=d)
 
     x = a.solve(b)
     if x is None:
         raise InputError("reduction system inconsistent despite a basis certificate")
-    rows = [x.rows[len(columns) + i] for i in range(d)]
-    bmat = Matrix(field, rows, ncols=d, row_labels=list(M), col_labels=list(M))
+    bmat = Matrix(field, x.rows[gens.nrows:], ncols=d)
     return MultiplicationMatrix(bmat, g, d - bmat.rank())

@@ -10,6 +10,7 @@ verdict or a failed identity, and 2 means bad usage or bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from fractions import Fraction
@@ -133,7 +134,7 @@ def load_system(path: str, field) -> PolySystem:
             if degrees is None:
                 if not line.lower().startswith("degrees:"):
                     raise InputError("first line must declare `degrees: d1,..,dn`")
-                degrees = tuple(int(x) for x in line.split(":", 1)[1].split(","))
+                degrees = _degrees_arg(line.split(":", 1)[1])
                 continue
             polys.append(parse_poly(line, len(degrees), field))
     if degrees is None:
@@ -266,6 +267,7 @@ def _cmd_mulmat(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="monobasis",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import NotExact, NotFullRank
 from .koszul import GradedComplex
-from .linalg import MinorSelection, select_nonzero_maximal_minor
+from .linalg import select_nonzero_maximal_minor
 
 __all__ = [
     "DecompositionTrace",

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 
 from .errors import InputError
 from .linalg import Matrix
-from .polynomials import MonomialSet, PolySystem, mono_key, mono_mul, monomials_of_degree
+from .polynomials import PolySystem, mono_mul, monomials_of_degree
 
 __all__ = ["BasisElement", "GradedComplex", "build_complex", "differential_matrix"]
 
@@ -105,9 +104,7 @@ def build_complex(sys: PolySystem, t: int, S) -> GradedComplex:
                             raise AssertionError("differential target missing")
                         continue
                     grid[row][col] = grid[row][col] + (-coeff if negate else coeff)
-        diffs.append(
-            Matrix(field, grid, ncols=len(source), row_labels=target, col_labels=source)
-        )
+        diffs.append(Matrix(field, grid, ncols=len(source)))
 
     return GradedComplex(
         s=s,

@@ -130,11 +130,11 @@ def _echelon(field, rows, ncols: int) -> _Echelon:
 
 
 class Matrix:
-    """Immutable dense matrix with optional row/column labels."""
+    """Immutable dense matrix."""
 
-    __slots__ = ("field", "nrows", "ncols", "rows", "row_labels", "col_labels")
+    __slots__ = ("field", "nrows", "ncols", "rows")
 
-    def __init__(self, field, rows, ncols=None, row_labels=None, col_labels=None):
+    def __init__(self, field, rows, ncols=None):
         rows = [list(r) for r in rows]
         self.field = field
         self.nrows = len(rows)
@@ -149,16 +149,6 @@ class Matrix:
         if any(len(r) != self.ncols for r in rows):
             raise ShapeError("ragged rows")
         self.rows = rows
-        for labels, count, axis in (
-            (row_labels, self.nrows, "row"),
-            (col_labels, self.ncols, "column"),
-        ):
-            if labels is not None:
-                labels = tuple(labels)
-                if len(labels) != count or len(set(labels)) != count:
-                    raise ShapeError(f"{axis} labels must be unique and match the shape")
-        self.row_labels = tuple(row_labels) if row_labels is not None else None
-        self.col_labels = tuple(col_labels) if col_labels is not None else None
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -188,15 +178,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(not e for row in self.rows for e in row)
 
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.field,
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-            row_labels=self.col_labels,
-            col_labels=self.row_labels,
-        )
-
     def submatrix(self, row_idx, col_idx) -> "Matrix":
         row_idx = list(row_idx)
         col_idx = list(col_idx)
@@ -204,8 +185,6 @@ class Matrix:
             self.field,
             [[self.rows[i][j] for j in col_idx] for i in row_idx],
             ncols=len(col_idx),
-            row_labels=[self.row_labels[i] for i in row_idx] if self.row_labels else None,
-            col_labels=[self.col_labels[j] for j in col_idx] if self.col_labels else None,
         )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -224,9 +203,6 @@ class Matrix:
                 row.append(acc)
             out.append(row)
         return Matrix(self.field, out, ncols=other.ncols)
-
-    def __neg__(self):
-        return Matrix(self.field, [[-e for e in r] for r in self.rows], ncols=self.ncols)
 
     # -- exact linear algebra ------------------------------------------
     def det(self):

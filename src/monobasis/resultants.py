@@ -18,12 +18,14 @@ from .polynomials import (
     MultiPoly,
     PolySystem,
     mono_key,
+    mono_mul,
     monomials_of_degree,
 )
 
 __all__ = [
     "ClassicalSubresultantSequence",
     "classical_subresultants",
+    "macaulay_matrix",
     "macaulay_row_monomials",
     "resultant_macaulay",
     "sylvester_resultant",
@@ -44,22 +46,33 @@ def macaulay_row_monomials(degrees, nvars: int, t: int) -> list:
     return rows
 
 
-def _phi_matrix(sys: PolySystem, t: int, columns, rows) -> Matrix:
-    """Matrix of (p_1, ..., p_n) -> sum p_i f_i on the given row/column labels."""
+def macaulay_matrix(sys: PolySystem, columns, rows=None) -> Matrix:
+    """Matrix of (p_1, ..., p_n) -> sum p_i f_i on the given row/column labels.
+
+    Row (i, b) holds the coefficients of x^b f_i on the columns, which are
+    monomials of one degree t; coefficients outside the columns are
+    dropped.  The default rows are every multiplier (i, b) with
+    deg b = t - d_i, so the row space is the degree-t piece of the ideal.
+    """
+    if rows is None:
+        # an empty column set has no degree and gets no rows
+        t = sum(columns[0]) if columns else 0
+        rows = [
+            (i, b)
+            for i, d in enumerate(sys.degrees, start=1)
+            for b in monomials_of_degree(sys.nvars, t - d)
+        ]
     field = sys.field
     col_index = {m: j for j, m in enumerate(columns)}
     grid = []
     for i, b in rows:
         row = [field.zero] * len(columns)
         for mono, coeff in sys.polys[i - 1].terms.items():
-            target = tuple(x + y for x, y in zip(b, mono))
-            j = col_index.get(target)
+            j = col_index.get(mono_mul(b, mono))
             if j is not None:
-                row[j] = row[j] + coeff
+                row[j] = coeff
         grid.append(row)
-    return Matrix(
-        sys.field, grid, ncols=len(columns), row_labels=rows, col_labels=tuple(columns)
-    )
+    return Matrix(field, grid, ncols=len(columns))
 
 
 def _macaulay_numerator_rows(degrees, nvars, t):
@@ -97,7 +110,7 @@ def resultant_macaulay(forms: PolySystem):
     for t in range(rho + 1, rho + 4):
         rows, image = _macaulay_numerator_rows(degrees, n, t)
         columns = monomials_of_degree(n, t)
-        mat = _phi_matrix(forms, t, columns, rows)
+        mat = macaulay_matrix(forms, columns, rows)
         extraneous_rows = [
             r
             for r, (i, b) in enumerate(rows)

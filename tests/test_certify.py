@@ -8,11 +8,13 @@ from monobasis import (
     GF,
     QQ,
     DegreeProfile,
+    EvaluationDegenerate,
     InputError,
     Matrix,
     MonomialSet,
     MultiPoly,
     PolySystem,
+    ShapeError,
     certify_basis,
     degree_bound_reject,
     factorize_delta,
@@ -28,6 +30,7 @@ from monobasis import (
     vandermonde_verify,
 )
 from monobasis.certify import m1_set
+from monobasis.cli import parse_poly
 
 from conftest import random_system
 
@@ -37,6 +40,10 @@ F101 = GF(101)
 
 def qpoly(terms, nvars):
     return MultiPoly(QQ, nvars, {m: Fraction(c) for m, c in terms.items()})
+
+
+def parsed_system(texts, degrees, field):
+    return PolySystem([parse_poly(t, len(degrees), field) for t in texts], degrees)
 
 
 def test_univariate_hand_case():
@@ -76,6 +83,18 @@ def test_non_basis_detected_and_oracle_agrees():
     assert rank_oracle(sys_, M) is False
 
 
+def test_res_zero_alone_rejects_a_set():
+    """Leading forms x1^2 and x1^2 + x1*x2 share the zero (0 : 1): Res = 0
+    while Delta != 0, and the Macaulay map of the homogenized system is
+    onto the monomials outside M_2, so only the resultant test rejects M."""
+    M = MonomialSet([(1, 0), (0, 1), (2, 0), (0, 2)])
+    for field in (QQ, F101):
+        sys_ = parsed_system(["x1^2 - 1", "x1^2 + x1*x2 + 1"], (2, 2), field)
+        cert = certify_basis(sys_, M)
+        assert not cert.res_value and cert.delta_value
+        assert rank_oracle(sys_, M) is False
+
+
 def test_degree_bound_necessary_condition():
     profile = DegreeProfile((2, 3))
     # all six monomials of degree <= 2 give delta = 2 < rho = 3
@@ -90,11 +109,18 @@ def test_degree_bound_necessary_condition():
 
 
 def test_wrong_cardinality_rejected():
+    """Both deciders validate the question the same way: #M = d1*...*dn
+    and M in the variables of the system."""
     f1 = qpoly({(2, 0): 1, (0, 0): -1}, 2)
     f2 = qpoly({(0, 2): 1, (0, 0): -1}, 2)
     sys_ = PolySystem([f1, f2], (2, 2))
-    with pytest.raises(InputError):
-        certify_basis(sys_, MonomialSet([(0, 0), (1, 0), (0, 1)]))
+    for decide in (certify_basis, rank_oracle):
+        with pytest.raises(InputError):
+            decide(sys_, MonomialSet([(0, 0), (1, 0), (0, 1)]))
+        with pytest.raises(InputError):
+            decide(sys_, MonomialSet([(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)]))
+        with pytest.raises(ShapeError):
+            decide(sys_, MonomialSet([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]))
 
 
 def test_grid_system_certificates():
@@ -204,10 +230,63 @@ def test_upsilon_matches_roots_on_transformed_grid():
         assert ups == det * det / J
 
 
-def test_rank_oracle_matches_certificate_on_random_f101_systems():
+def sparse_system(rng, field, degrees):
+    """3 or 4 terms per polynomial, one of them of top degree, coefficients
+    +-1..3; such systems often have a vanishing extraneous Macaulay minor."""
+    n = len(degrees)
+    polys = []
+    for d in degrees:
+        pool = [m for s in range(d + 1) for m in monomials_of_degree(n, s)]
+        support = {rng.choice(monomials_of_degree(n, d))}
+        size = rng.choice((3, 4))
+        while len(support) < size:
+            support.add(rng.choice(pool))
+        terms = {m: field.of(rng.choice((-3, -2, -1, 1, 2, 3))) for m in sorted(support)}
+        polys.append(MultiPoly(field, n, terms))
+    return PolySystem(polys, degrees)
+
+
+def test_rank_oracle_matches_certificate_on_random_systems():
     rng = random.Random(10)
     M = m0_set((2, 2))
     for _ in range(15):
         sys_ = random_system(rng, F101, (2, 2))
         cert = certify_basis(sys_, M)
         assert cert.is_basis == rank_oracle(sys_, M)
+
+    # sparse draws at (2,2,2), with M0 and with random sets of 8 monomials;
+    # the certificate cannot answer where the extraneous minor vanishes
+    rng = random.Random(11)
+    low = [m for s in range(4) for m in monomials_of_degree(3, s)]
+    for field in (QQ, F101):
+        verdicts = set()
+        for _ in range(40):
+            sys_ = sparse_system(rng, field, (2, 2, 2))
+            for M in (m0_set((2, 2, 2)), MonomialSet(rng.sample(low, 8))):
+                answer = rank_oracle(sys_, M)
+                try:
+                    cert = certify_basis(sys_, M)
+                except EvaluationDegenerate:
+                    continue
+                assert cert.is_basis == answer
+                verdicts.add(answer)
+        assert verdicts == {True, False}
+
+
+# Macaulay's extraneous minor vanishes at rho+1..rho+3 on both systems, so
+# the resultant there has no value yet; the oracle decides by ranks alone.
+
+
+def test_rank_oracle_answers_when_res_is_nonzero_and_the_minor_vanishes():
+    texts = ["x1*x2 + x1*x3 + x2^2 + x1", "x1^2 - x1*x3 + x2*x3 + 1", "3*x1^2 - x2^2 + x3^2"]
+    for field in (QQ, F101):
+        assert rank_oracle(parsed_system(texts, (2, 2, 2), field), m0_set((2, 2, 2))) is True
+
+
+def test_rank_oracle_rejects_leading_forms_with_a_common_zero():
+    texts = ["x1*x2 + 1", "x2*x3 + x1", "x1*x3 + x2"]
+    for field in (QQ, F101):
+        sys_ = parsed_system(texts, (2, 2, 2), field)
+        # the leading forms x1*x2, x2*x3, x1*x3 share the zero (1 : 0 : 0)
+        assert all(not f.evaluate((1, 0, 0)) for f in sys_.leading_forms().polys)
+        assert rank_oracle(sys_, m0_set((2, 2, 2))) is False

@@ -1,10 +1,14 @@
 """Parser and subcommand behavior, including exit codes."""
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import monobasis
 from monobasis import GF, QQ, MultiPoly, ParseError
-from monobasis.cli import load_system, main, parse_monomial_list, parse_poly
+from monobasis.cli import _build_parser, load_system, main, parse_monomial_list, parse_poly
 
 F5 = GF(5)
 
@@ -110,6 +114,35 @@ def test_cli_usage_and_input_errors(grid22, capsys):
     assert main(["no-such-command"]) == 2
     assert main(["hilbert", "--degrees", "2,x", "--tau", "1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("header", ["degrees: 2,x", "degrees:", "degrees: 0,2"])
+def test_cli_malformed_degrees_header(tmp_path, capsys, header):
+    path = tmp_path / "sys.txt"
+    path.write_text(f"{header}\nx1^2 - 1\nx2^2 - 1\n")
+    assert main(["resultant", "--field", "q", "--system", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_parser_is_built_once_and_keeps_no_state(monkeypatch, capsys):
+    """After a usage error, each call prints what a fresh process prints."""
+    assert _build_parser() is _build_parser()
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
+    monkeypatch.setenv("PYTHONPATH", os.path.dirname(os.path.dirname(monobasis.__file__)))
+    assert main(["no-such-command"]) == 2
+    capsys.readouterr()
+    for argv in (
+        ["hilbert", "--degrees", "2,2,2", "--tau", "3"],
+        ["basis-check", "--field", "q"],
+        ["hilbert", "--degrees", "2,3", "--tau", "2"],
+    ):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "monobasis.cli", *argv],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 def test_cli_resultant_and_subresultant(grid22, capsys):
