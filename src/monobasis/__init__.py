@@ -30,7 +30,6 @@ from .detcomplex import (
 from .errors import (
     AlgebraError,
     DegreeError,
-    EvaluationDegenerate,
     InputError,
     NotExact,
     NotFullRank,

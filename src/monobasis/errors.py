@@ -25,10 +25,6 @@ class NotExact(AlgebraError):
     """A decomposition stage of a complex failed; its determinant is zero."""
 
 
-class EvaluationDegenerate(AlgebraError):
-    """Every admissible extraneous minor vanished for this specialization."""
-
-
 class ParseError(AlgebraError):
     """Malformed polynomial or monomial text."""
 

@@ -103,7 +103,9 @@ def build_complex(sys: PolySystem, t: int, S) -> GradedComplex:
                         if k != 1:
                             raise AssertionError("differential target missing")
                         continue
-                    grid[row][col] = grid[row][col] + (-coeff if negate else coeff)
+                    # each (row, col) is hit once: distinct j give distinct
+                    # wedges, distinct terms distinct monomials
+                    grid[row][col] = -coeff if negate else coeff
         diffs.append(Matrix(field, grid, ncols=len(source)))
 
     return GradedComplex(

@@ -231,14 +231,6 @@ class Matrix:
             return None
         return Matrix(self.field, ech.solution(m, k), ncols=k)
 
-    def inverse(self) -> "Matrix":
-        if self.nrows != self.ncols:
-            raise ShapeError("inverse of a non-square matrix")
-        inv = self.solve(Matrix.identity(self.field, self.nrows))
-        if inv is None or not (self @ inv == Matrix.identity(self.field, self.nrows)):
-            raise NotFullRank("matrix is singular")
-        return inv
-
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field.name})"
 

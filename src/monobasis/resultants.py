@@ -1,132 +1,110 @@
 """Macaulay matrices, the homogeneous resultant, Sylvester matrices and
 classical univariate subresultants.
 
-The row space of the degree-t Macaulay map splits per polynomial: the
-block of f_i is spanned by the monomial multipliers x^b of degree t - d_i
-whose exponents satisfy b_1 < d_1, ..., b_{i-1} < d_{i-1} (the exponent of
-the homogenizing variable, when present, is unrestricted).  The resultant
-of n forms in n variables is the classical quotient det(M) / det(E) at
-degree rho + 1, normalized so that Res(x_1^{d_1}, ..., x_n^{d_n}) = 1.
+The resultant of n forms f_1..f_n in n variables is the determinant of
+their Koszul complex in degree rho + 1 = d_1 + ... + d_n - n + 1, which is
+exact exactly when Res != 0 (Chardin, "The resultant via a Koszul
+complex", 1993; Gelfand-Kapranov-Zelevinsky 1994, ch. 3 and app. A).  The
+complex is split by the descending decomposition; each stage's minor is
+signed by the shuffle that brings its chosen rows to the front, which makes
+the value independent of the chosen minors, and the result is normalized
+so that Res(x_1^{d_1}, ..., x_n^{d_n}) = 1.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .errors import EvaluationDegenerate, InputError, ShapeError
+from .detcomplex import decompose_descending
+from .errors import InputError, NotExact, ShapeError
+from .fields import GF
+from .koszul import build_complex
 from .linalg import Matrix
-from .polynomials import (
-    MultiPoly,
-    PolySystem,
-    mono_key,
-    mono_mul,
-    monomials_of_degree,
-)
+from .polynomials import MultiPoly, PolySystem, mono_mul, monomials_of_degree
 
 __all__ = [
     "ClassicalSubresultantSequence",
     "classical_subresultants",
     "macaulay_matrix",
-    "macaulay_row_monomials",
     "resultant_macaulay",
     "sylvester_resultant",
 ]
 
 
-def macaulay_row_monomials(degrees, nvars: int, t: int) -> list:
-    """Row labels (i, b): multiplier monomials of f_i, with the Macaulay
-    restriction b_1 < d_1, ..., b_{i-1} < d_{i-1} on the affine variables."""
-    offset = nvars - len(degrees)  # position of x1 in the exponent tuples
-    if offset < 0:
-        raise ShapeError("more polynomials than variables")
-    rows = []
-    for i, d in enumerate(degrees, start=1):
-        for b in monomials_of_degree(nvars, t - d):
-            if all(b[offset + j] < degrees[j] for j in range(i - 1)):
-                rows.append((i, b))
-    return rows
+def macaulay_matrix(sys: PolySystem, columns) -> Matrix:
+    """Matrix of (p_1, ..., p_n) -> sum p_i f_i onto the given columns.
 
-
-def macaulay_matrix(sys: PolySystem, columns, rows=None) -> Matrix:
-    """Matrix of (p_1, ..., p_n) -> sum p_i f_i on the given row/column labels.
-
-    Row (i, b) holds the coefficients of x^b f_i on the columns, which are
-    monomials of one degree t; coefficients outside the columns are
-    dropped.  The default rows are every multiplier (i, b) with
-    deg b = t - d_i, so the row space is the degree-t piece of the ideal.
+    The columns are monomials of one degree t.  Row (i, b), for every
+    multiplier x^b with deg b = t - d_i, holds the coefficients of x^b f_i
+    on the columns; coefficients outside the columns are dropped.  So the
+    row space is the degree-t piece of the ideal, cut to the columns.
     """
-    if rows is None:
-        # an empty column set has no degree and gets no rows
-        t = sum(columns[0]) if columns else 0
-        rows = [
-            (i, b)
-            for i, d in enumerate(sys.degrees, start=1)
-            for b in monomials_of_degree(sys.nvars, t - d)
-        ]
+    # an empty column set has no degree and gets no rows
+    t = sum(columns[0]) if columns else 0
     field = sys.field
     col_index = {m: j for j, m in enumerate(columns)}
     grid = []
-    for i, b in rows:
-        row = [field.zero] * len(columns)
-        for mono, coeff in sys.polys[i - 1].terms.items():
-            j = col_index.get(mono_mul(b, mono))
-            if j is not None:
-                row[j] = coeff
-        grid.append(row)
+    for f, d in zip(sys.polys, sys.degrees):
+        for b in monomials_of_degree(sys.nvars, t - d):
+            row = [field.zero] * len(columns)
+            for mono, coeff in f.terms.items():
+                j = col_index.get(mono_mul(b, mono))
+                if j is not None:
+                    row[j] = coeff
+            grid.append(row)
     return Matrix(field, grid, ncols=len(columns))
 
 
-def _macaulay_numerator_rows(degrees, nvars, t):
-    # rows sorted by the bijection image b + d_i e_i so that the diagonal
-    # system gets the identity matrix (this pins the sign of Res)
-    offset = nvars - len(degrees)
+def _signed_koszul_det(forms: PolySystem):
+    """Determinant of the degree-(rho + 1) Koszul complex of the forms,
+    with every stage's minor signed by the shuffle of its chosen rows, or
+    zero when the complex is not exact."""
+    rho = sum(forms.degrees) - forms.n
+    try:
+        trace = decompose_descending(build_complex(forms, rho + 1, ()))
+    except NotExact:
+        return forms.field.zero
+    value = trace.delta
+    for sel in trace.stage_minors:
+        rows = sel.row_indices if sel else ()
+        # sign of the permutation that moves the chosen rows to the front
+        if (sum(rows) - len(rows) * (len(rows) - 1) // 2) % 2:
+            value = -value
+    return value
 
-    def image(label):
-        i, b = label
-        return tuple(
-            e + (degrees[i - 1] if pos == offset + i - 1 else 0)
-            for pos, e in enumerate(b)
-        )
 
-    rows = macaulay_row_monomials(degrees, nvars, t)
-    return sorted(rows, key=lambda lab: mono_key(image(lab))), image
+@functools.lru_cache(maxsize=64)
+def _diagonal_sign(degrees: tuple) -> int:
+    """The signed Koszul determinant of x_1^{d_1}, ..., x_n^{d_n}: +-1.
+
+    Computed over F_3, where +1 != -1 and the arithmetic is cheapest.
+    """
+    field = GF(3)
+    n = len(degrees)
+    forms = PolySystem(
+        [
+            MultiPoly.monomial(field, tuple(d if j == i else 0 for j in range(n)))
+            for i, d in enumerate(degrees)
+        ],
+        degrees,
+    )
+    return 1 if _signed_koszul_det(forms) == field.one else -1
 
 
 def resultant_macaulay(forms: PolySystem):
     """Res of n homogeneous forms in n variables, Res(x_i^{d_i}) = 1.
 
-    Computed as det(M) / det(E) at t = rho + 1 (E the minor on monomials
-    that are non-reduced in at least two variables).  If the extraneous
-    minor vanishes for this specialization, nearby admissible degrees are
-    tried before reporting EvaluationDegenerate.
+    The signed determinant of the forms' Koszul complex in degree
+    rho + 1, divided by that of x_1^{d_1}, ..., x_n^{d_n} (which is +-1);
+    zero exactly when the complex is not exact.
     """
-    n = forms.n
-    if forms.nvars != n:
+    if forms.nvars != forms.n:
         raise ShapeError("need as many variables as forms")
     for f, d in zip(forms.polys, forms.degrees):
         if not f.is_homogeneous_of(d):
             raise InputError("resultant input must be homogeneous forms")
-    degrees = forms.degrees
-    rho = sum(degrees) - n
-    for t in range(rho + 1, rho + 4):
-        rows, image = _macaulay_numerator_rows(degrees, n, t)
-        columns = monomials_of_degree(n, t)
-        mat = macaulay_matrix(forms, columns, rows)
-        extraneous_rows = [
-            r
-            for r, (i, b) in enumerate(rows)
-            if any(b[j] >= degrees[j] for j in range(n) if j != i - 1)
-        ]
-        extraneous_cols = [
-            c
-            for c, m in enumerate(columns)
-            if sum(1 for j in range(n) if m[j] >= degrees[j]) >= 2
-        ]
-        det_e = mat.submatrix(extraneous_rows, extraneous_cols).det()
-        if det_e:
-            return mat.det() / det_e
-    raise EvaluationDegenerate(
-        "extraneous Macaulay minor vanished at every tried degree"
-    )
+    value = _signed_koszul_det(forms)
+    return value if _diagonal_sign(forms.degrees) == 1 else -value
 
 
 def _univariate_coeffs(f: MultiPoly, d: int) -> list:

@@ -13,7 +13,7 @@ import functools
 import itertools
 import math
 
-from .errors import InputError, NotFullRank, ShapeError
+from .errors import InputError, ShapeError
 from .fields import PrimeField, RationalField, is_prime
 from .linalg import Matrix
 from .polynomials import MultiPoly, PolySystem
@@ -116,13 +116,11 @@ def linear_transform(sys: PolySystem, L: Matrix) -> PolySystem:
 
 def transform_roots(roots, L: Matrix) -> list:
     """Roots of the composed system: y = L^{-1} x for each original root x."""
-    try:
-        inv = L.inverse()
-    except NotFullRank:
+    n = L.nrows
+    if L.ncols != n or any(len(pt) != n for pt in roots):
+        raise ShapeError("need a square L and roots with one coordinate per column")
+    if L.rank() < n:
         raise InputError("change of variables must be invertible")
-    out = []
-    for pt in roots:
-        col = Matrix(L.field, [[x] for x in pt], ncols=1)
-        y = inv @ col
-        out.append(tuple(y[i, 0] for i in range(len(pt))))
-    return out
+    # one solve with the roots as right-hand-side columns
+    y = L.solve(Matrix(L.field, [[pt[i] for pt in roots] for i in range(n)], ncols=len(roots)))
+    return [tuple(y[i, j] for i in range(n)) for j in range(len(roots))]

@@ -14,6 +14,7 @@ from .detcomplex import det_complex_ascending
 from .hilbert import series_coefficients
 from .koszul import build_complex
 from .polynomials import MonomialSet, PolySystem
+from .resultants import resultant_macaulay
 
 __all__ = [
     "SubresultantValue",
@@ -74,8 +75,6 @@ def delta_shift_check(sys: PolySystem, M: MonomialSet, t: int):
     Returns (Delta^t_{M_t}, Delta^delta_{M_delta} * Res^(t - delta)); the
     caller compares them up to sign.
     """
-    from .resultants import resultant_macaulay
-
     delta = M.delta
     if t < delta:
         raise ShapeError(f"need t >= delta(M) = {delta}")

@@ -8,7 +8,6 @@ from monobasis import (
     GF,
     QQ,
     DegreeProfile,
-    EvaluationDegenerate,
     InputError,
     Matrix,
     MonomialSet,
@@ -230,6 +229,22 @@ def test_upsilon_matches_roots_on_transformed_grid():
         assert ups == det * det / J
 
 
+def test_transform_roots_solves_and_rejects_a_singular_change():
+    F = GF(13)
+    roots = [(F.of(1), F.of(2)), (F.of(3), F.of(4)), (F.of(5), F.of(0))]
+    for field, pts in ((QQ, [tuple(QQ.of(x.val) for x in pt) for pt in roots]), (F, roots)):
+        L = Matrix(field, [[field.of(2), field.of(1)], [field.of(1), field.of(1)]])
+        moved = transform_roots(pts, L)
+        assert [L @ Matrix(field, [[y] for y in pt]) for pt in moved] == [
+            Matrix(field, [[x] for x in pt]) for pt in pts
+        ]
+        singular = Matrix(field, [[field.of(1), field.of(2)], [field.of(2), field.of(4)]])
+        with pytest.raises(InputError):
+            transform_roots(pts, singular)
+    with pytest.raises(ShapeError):
+        transform_roots(roots, Matrix(F, [[F.of(1), F.of(0)]]))
+
+
 def sparse_system(rng, field, degrees):
     """3 or 4 terms per polynomial, one of them of top degree, coefficients
     +-1..3; such systems often have a vanishing extraneous Macaulay minor."""
@@ -254,8 +269,7 @@ def test_rank_oracle_matches_certificate_on_random_systems():
         cert = certify_basis(sys_, M)
         assert cert.is_basis == rank_oracle(sys_, M)
 
-    # sparse draws at (2,2,2), with M0 and with random sets of 8 monomials;
-    # the certificate cannot answer where the extraneous minor vanishes
+    # sparse draws at (2,2,2), with M0 and with random sets of 8 monomials
     rng = random.Random(11)
     low = [m for s in range(4) for m in monomials_of_degree(3, s)]
     for field in (QQ, F101):
@@ -264,23 +278,23 @@ def test_rank_oracle_matches_certificate_on_random_systems():
             sys_ = sparse_system(rng, field, (2, 2, 2))
             for M in (m0_set((2, 2, 2)), MonomialSet(rng.sample(low, 8))):
                 answer = rank_oracle(sys_, M)
-                try:
-                    cert = certify_basis(sys_, M)
-                except EvaluationDegenerate:
-                    continue
-                assert cert.is_basis == answer
+                assert certify_basis(sys_, M).is_basis == answer
                 verdicts.add(answer)
         assert verdicts == {True, False}
 
 
-# Macaulay's extraneous minor vanishes at rho+1..rho+3 on both systems, so
-# the resultant there has no value yet; the oracle decides by ranks alone.
+# Macaulay's extraneous minor vanishes at rho+1..rho+3 on both systems;
+# the oracle decides by ranks alone, and the certificate, whose resultant
+# is a Koszul determinant, needs no such minor either.
 
 
 def test_rank_oracle_answers_when_res_is_nonzero_and_the_minor_vanishes():
     texts = ["x1*x2 + x1*x3 + x2^2 + x1", "x1^2 - x1*x3 + x2*x3 + 1", "3*x1^2 - x2^2 + x3^2"]
     for field in (QQ, F101):
-        assert rank_oracle(parsed_system(texts, (2, 2, 2), field), m0_set((2, 2, 2))) is True
+        sys_ = parsed_system(texts, (2, 2, 2), field)
+        assert rank_oracle(sys_, m0_set((2, 2, 2))) is True
+        cert = certify_basis(sys_, m0_set((2, 2, 2)))
+        assert cert.res_value and cert.is_basis
 
 
 def test_rank_oracle_rejects_leading_forms_with_a_common_zero():

@@ -106,6 +106,25 @@ def test_cli_basis_check_exit_codes(grid22, capsys):
     assert "verdict=not-basis" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("field", ["q", "fp:101"])
+def test_cli_basis_check_answers_where_the_extraneous_minor_vanishes(tmp_path, capsys, field):
+    # Macaulay's extraneous minor of these leading forms vanishes at
+    # rho+1..rho+3 although Res != 0; the certificate must still answer
+    path = tmp_path / "sys.txt"
+    path.write_text(
+        "degrees: 2,2,2\n"
+        "x1*x2 + x1*x3 + x2^2 + x1\n"
+        "x1^2 - x1*x3 + x2*x3 + 1\n"
+        "3*x1^2 - x2^2 + x3^2\n"
+    )
+    code = main([
+        "basis-check", "--field", field, "--system", str(path),
+        "--monomials", "1,x1,x2,x3,x1*x2,x1*x3,x2*x3,x1*x2*x3", "--oracle",
+    ])
+    out = capsys.readouterr().out
+    assert code in (0, 1) and "oracle=agree" in out
+
+
 def test_cli_usage_and_input_errors(grid22, capsys):
     assert main(["basis-check", "--field", "q", "--system", grid22,
                  "--monomials", "1,x1,x2,x4"]) == 2

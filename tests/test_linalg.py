@@ -96,13 +96,6 @@ def test_solve_random_square_systems():
             assert x is not None and a @ x == b
 
 
-def test_inverse():
-    a = Mq([[2, 1], [1, 1]])
-    assert a @ a.inverse() == Matrix.identity(QQ, 2)
-    with pytest.raises(NotFullRank):
-        Mq([[1, 1], [1, 1]]).inverse()
-
-
 def test_shape_checks():
     with pytest.raises(ShapeError):
         Mq([[1], [1, 2]])

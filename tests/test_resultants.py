@@ -1,4 +1,5 @@
 """Resultants: diagonal normalization, Sylvester agreement, root oracles."""
+import math
 import random
 from fractions import Fraction
 
@@ -7,14 +8,16 @@ import pytest
 from monobasis import (
     GF,
     QQ,
-    EvaluationDegenerate,
+    Matrix,
     MultiPoly,
     PolySystem,
     classical_subresultants,
+    linear_transform,
     monomials_of_degree,
     resultant_macaulay,
     sylvester_resultant,
 )
+from monobasis.resultants import macaulay_matrix
 
 F101 = GF(101)
 
@@ -100,10 +103,7 @@ def test_macaulay_equals_sylvester_on_random_binary_pairs():
         g = binary_form(F101, [rng.randrange(101) for _ in range(d2 + 1)])
         if not f.is_homogeneous_of(d1) or not g.is_homogeneous_of(d2):
             continue  # leading coefficient vanished; skip the malformed draw
-        try:
-            mac = resultant_macaulay(PolySystem([f, g], (d1, d2)))
-        except EvaluationDegenerate:
-            continue
+        mac = resultant_macaulay(PolySystem([f, g], (d1, d2)))
         syl = sylvester_resultant(f, g, d1, d2)
         assert mac == syl
         agree += 1
@@ -125,10 +125,7 @@ def test_resultant_vanishes_iff_projective_common_root_exists():
         has_root = any(
             not f.evaluate(pt) and not g.evaluate(pt) for pt in points
         )
-        try:
-            res = resultant_macaulay(PolySystem([f, g], (d1, d2)))
-        except EvaluationDegenerate:
-            continue
+        res = resultant_macaulay(PolySystem([f, g], (d1, d2)))
         if f.is_homogeneous_of(d1) and g.is_homogeneous_of(d2):
             assert bool(res) == (not has_root)
 
@@ -149,10 +146,7 @@ def test_trivariate_resultant_vanishes_on_common_root():
             assert not f.evaluate([1, 1, 1])
             polys.append(f)
         sys_ = PolySystem(polys, (2, 2, 2))
-        try:
-            assert not resultant_macaulay(sys_)
-        except EvaluationDegenerate:
-            pass
+        assert not resultant_macaulay(sys_)
 
 
 def test_trivariate_nonzero_on_generic_draws():
@@ -163,12 +157,79 @@ def test_trivariate_nonzero_on_generic_draws():
         for i, d in enumerate((2, 2, 2)):
             terms = {m: F101.of(rng.randrange(101)) for m in monomials_of_degree(3, d)}
             polys.append(MultiPoly(F101, 3, terms))
-        try:
-            if resultant_macaulay(PolySystem(polys, (2, 2, 2))):
-                nonzero += 1
-        except EvaluationDegenerate:
-            pass
+        if resultant_macaulay(PolySystem(polys, (2, 2, 2))):
+            nonzero += 1
     assert nonzero >= 8
+
+
+def random_form(rng, field, n, d, terms=None):
+    """A non-zero form of degree d in n variables with coefficients in
+    -4..4, on every monomial or on ``terms`` random ones."""
+    monos = monomials_of_degree(n, d)
+    if terms is not None:
+        monos = rng.sample(monos, min(terms, len(monos)))
+    coeffs = (-4, -3, -2, -1, 1, 2, 3, 4)
+    return MultiPoly(field, n, {m: field.of(rng.choice(coeffs)) for m in monos})
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=["Q", "F101"])
+def test_resultant_is_multiplicative_in_each_form(field):
+    """Res(.., g h, ..) = Res(.., g, ..) Res(.., h, ..), with its exact sign,
+    on dense and sparse draws (sparse ones choose other minors)."""
+    rng = random.Random(41)
+    for _ in range(24):
+        n = rng.choice((2, 3))
+        degrees = [rng.randrange(1, 3) for _ in range(n)]
+        slot = rng.randrange(n)
+        a, b = rng.randrange(1, 3), rng.randrange(1, 3)
+        terms = rng.choice((None, 2, 3))
+        forms = [random_form(rng, field, n, d, terms) for d in degrees]
+        g, h = random_form(rng, field, n, a, terms), random_form(rng, field, n, b, terms)
+
+        def res(form, d):
+            polys = forms[:slot] + [form] + forms[slot + 1 :]
+            return resultant_macaulay(
+                PolySystem(polys, degrees[:slot] + [d] + degrees[slot + 1 :])
+            )
+
+        assert res(g * h, a + b) == res(g, a) * res(h, b)
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=["Q", "F101"])
+@pytest.mark.parametrize("degrees", [(2, 2, 1), (3, 2, 2), (2, 2, 1, 1), (2, 2, 2, 1)])
+def test_resultant_under_a_linear_change_of_variables(field, degrees):
+    """Res(f o L) = det(L)^(d_1...d_n) Res(f), with its exact sign; f is
+    sparse, so its minors are chosen differently from those of f o L."""
+    rng = random.Random(43)
+    n = len(degrees)
+    res = 0
+    while not res:  # sparse draws give Res = 0 now and then
+        forms = PolySystem([random_form(rng, field, n, d, 2) for d in degrees], degrees)
+        res = resultant_macaulay(forms)
+    for _ in range(2):
+        L = Matrix(field, [[field.of(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)])
+        want = L.det() ** math.prod(degrees) * res
+        assert resultant_macaulay(linear_transform(forms, L)) == want
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=["Q", "F101"])
+def test_resultant_nonzero_iff_the_macaulay_map_is_onto(field):
+    """On sparse draws: Res != 0 exactly when the Macaulay matrix of the
+    forms in degree rho + 1 has full column rank (Macaulay 1902)."""
+    rng = random.Random(47)
+    seen = set()
+    for _ in range(40):
+        degrees = rng.choice(((2, 2), (3, 2), (2, 2, 2), (3, 2, 2)))
+        n = len(degrees)
+        forms = PolySystem(
+            [random_form(rng, field, n, d, terms=rng.randrange(1, 4)) for d in degrees],
+            degrees,
+        )
+        top = monomials_of_degree(n, sum(degrees) - n + 1)
+        onto = macaulay_matrix(forms, top).rank() == len(top)
+        assert bool(resultant_macaulay(forms)) == onto
+        seen.add(onto)
+    assert seen == {True, False}
 
 
 def test_classical_subresultants_gcd_oracle():
