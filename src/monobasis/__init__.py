@@ -64,7 +64,6 @@ from .rootsystems import (
     transform_roots,
 )
 from .subresultants import (
-    SubresultantValue,
     delta_shift_check,
     required_cardinality,
     subresultant_D,

@@ -85,9 +85,9 @@ def certify_basis(sys: PolySystem, M: MonomialSet) -> BasisCertificate:
     res = resultant_macaulay(sys.leading_forms())
     delta = M.delta
     sub = subresultant_delta(sys.homogenized(), delta, M.homogenized_at(delta))
-    product = res * sub.value
+    product = res * sub
     verdict = "basis" if product else "not-basis"
-    return BasisCertificate(res, sub.value, delta, verdict, product)
+    return BasisCertificate(res, sub, delta, verdict, product)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,7 @@ def factorize_delta(leading_forms: PolySystem, M: MonomialSet) -> FactorizationR
     factors = []
     product = field.one
     for t in range(min(profile.degrees), profile.rho + 1):
-        value = subresultant_D(leading_forms, t, M.degree_slice(t)).value
+        value = subresultant_D(leading_forms, t, M.degree_slice(t))
         factors.append((t, value))
         product = product * value
     return FactorizationReport(True, tuple(factors), product)
@@ -191,8 +191,9 @@ def vandermonde_verify(sys: PolySystem, roots, M: MonomialSet) -> VandermondeRep
     """Check det(M(M))^2 * Res^(2*delta - rho + 1) = +-J * (Delta^delta)^2.
 
     The caller supplies all bezout-many simple roots; each is verified to
-    be a common zero.  For M = M0 the exact sign constant of the classical
-    identity is checked as well.
+    be a common zero, and no two may coincide.  Res and Delta^delta are
+    read from ``certify_basis``.  For M = M0 the exact sign constant of the
+    classical identity is checked as well.
     """
     profile = _check_question(sys, M)
     field = sys.field
@@ -205,6 +206,8 @@ def vandermonde_verify(sys: PolySystem, roots, M: MonomialSet) -> VandermondeRep
         for f in sys.polys:
             if f.evaluate(pt):
                 raise InputError(f"supplied point {pt} is not a common root")
+    if len(set(roots)) != len(roots):
+        raise InputError("repeated roots: the identity needs distinct roots")
 
     cols = list(M)
     grid = [
@@ -218,14 +221,14 @@ def vandermonde_verify(sys: PolySystem, roots, M: MonomialSet) -> VandermondeRep
     for pt in roots:
         jprod = jprod * jac.evaluate(pt)
 
-    res = resultant_macaulay(sys.leading_forms())
+    cert = certify_basis(sys, M)
+    res = cert.res_value
     if not res:
         raise InputError("resultant of the leading forms vanishes")
-    delta = M.delta
-    sub = subresultant_delta(sys.homogenized(), delta, M.homogenized_at(delta))
+    delta = cert.t_used
 
     lhs = det_value**2 * res ** (2 * delta - profile.rho + 1)
-    rhs = jprod * sub.value**2
+    rhs = jprod * cert.delta_value**2
     if lhs == rhs:
         matched, residual = 1, field.zero
     elif lhs == -rhs:
@@ -247,7 +250,7 @@ def vandermonde_verify(sys: PolySystem, roots, M: MonomialSet) -> VandermondeRep
         identity_residual=residual,
         disp_exact=disp_exact,
         resultant_value=res,
-        subresultant_value=sub.value,
+        subresultant_value=cert.delta_value,
         t_used=delta,
     )
 

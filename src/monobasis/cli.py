@@ -184,7 +184,7 @@ def _cmd_subresultant(args) -> int:
     t = M.delta if args.degree is None else args.degree
     sub = subresultant_delta(sys_.homogenized(), t, M.homogenized_at(t))
     print(f"t={t}")
-    print(f"delta={field.format(sub.value)}")
+    print(f"delta={field.format(sub)}")
     return 0
 
 

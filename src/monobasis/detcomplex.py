@@ -5,14 +5,25 @@ chosen non-zero maximal minor and return the alternating product
 prod det(phi_{i+1})^((-1)^i).  The two results agree up to sign on every
 exact complex; when a stage has no non-zero maximal minor the complex is
 not exact and NotExact is raised (callers read this as "determinant 0").
+
+The descending decomposition signs each stage's minor by the shuffle that
+moves its chosen rows to the front, so its value is the torsion of the
+complex in the given term bases: it does not depend on which minors were
+chosen, and permuting the bases changes it by the product of the
+permutations' signs.  ``koszul_det`` is that value for the degree-t
+Koszul complex C_t(S); the resultant and every subresultant are computed
+by it.  The ascending decomposition is unsigned and serves as the
+independent reference of the tests.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import NotExact, NotFullRank
-from .koszul import GradedComplex
+from .hilbert import required_cardinality
+from .koszul import GradedComplex, build_complex
 from .linalg import select_nonzero_maximal_minor
+from .polynomials import PolySystem
 
 __all__ = [
     "DecompositionTrace",
@@ -20,6 +31,7 @@ __all__ = [
     "decompose_descending",
     "det_complex_ascending",
     "det_complex_descending",
+    "koszul_det",
 ]
 
 
@@ -72,7 +84,8 @@ def decompose_ascending(c: GradedComplex) -> DecompositionTrace:
 
 
 def decompose_descending(c: GradedComplex) -> DecompositionTrace:
-    """Splitting from the left-most term, choosing row sets."""
+    """Splitting from the left-most term, choosing row sets; each stage's
+    minor is signed by the shuffle of its chosen rows."""
     dims = c.dims()
     field = c.field
     if c.s == 0:
@@ -93,8 +106,11 @@ def decompose_descending(c: GradedComplex) -> DecompositionTrace:
         except NotFullRank:
             raise NotExact(f"stage {k}: restricted differential is not into") from None
         minors[k - 1] = sel
-        dets[k - 1] = sel.minor_value
-        chosen = set(sel.row_indices)
+        rows = sel.row_indices
+        # sign of the permutation that moves the chosen rows to the front
+        odd = (sum(rows) - len(rows) * (len(rows) - 1) // 2) % 2
+        dets[k - 1] = -sel.minor_value if odd else sel.minor_value
+        chosen = set(rows)
         cols = [i for i in range(dims[k - 1]) if i not in chosen]
     if len(cols) != dims[0]:
         raise NotExact("final stage is not square")
@@ -117,3 +133,17 @@ def det_complex_ascending(c: GradedComplex):
 def det_complex_descending(c: GradedComplex):
     """Determinant of the complex by the descending decomposition."""
     return decompose_descending(c).delta
+
+
+def koszul_det(sys: PolySystem, t: int, S):
+    """Determinant of the degree-t Koszul complex C_t(S) of a homogeneous
+    system, by the signed descending decomposition.
+
+    Zero when #S is not the Hilbert count at t or the complex is not exact.
+    """
+    if len(S) != required_cardinality(sys.degrees, sys.nvars, t):
+        return sys.field.zero
+    try:
+        return decompose_descending(build_complex(sys, t, S)).delta
+    except NotExact:
+        return sys.field.zero

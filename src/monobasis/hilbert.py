@@ -52,6 +52,13 @@ def series_coefficients(degrees, denominator_vars: int, upto: int) -> list:
     return coeffs
 
 
+def required_cardinality(degrees, nvars: int, t: int) -> int:
+    """#S needed for the degree-t complex C_t(S) in ``nvars`` variables."""
+    if t < 0:
+        return 0
+    return series_coefficients(degrees, nvars, t)[t]
+
+
 def hilbert_H(profile: DegreeProfile, tau: int) -> int:
     """dim of the degree-tau piece of the quotient in n+1 variables."""
     if tau < 0:

@@ -4,21 +4,19 @@ classical univariate subresultants.
 The resultant of n forms f_1..f_n in n variables is the determinant of
 their Koszul complex in degree rho + 1 = d_1 + ... + d_n - n + 1, which is
 exact exactly when Res != 0 (Chardin, "The resultant via a Koszul
-complex", 1993; Gelfand-Kapranov-Zelevinsky 1994, ch. 3 and app. A).  The
-complex is split by the descending decomposition; each stage's minor is
-signed by the shuffle that brings its chosen rows to the front, which makes
-the value independent of the chosen minors, and the result is normalized
-so that Res(x_1^{d_1}, ..., x_n^{d_n}) = 1.
+complex", 1993; Gelfand-Kapranov-Zelevinsky 1994, ch. 3 and app. A).  It
+is ``detcomplex.koszul_det`` at (rho + 1, S = {}), the same signed
+descending determinant that gives every subresultant, normalized so that
+Res(x_1^{d_1}, ..., x_n^{d_n}) = 1.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
 
-from .detcomplex import decompose_descending
-from .errors import InputError, NotExact, ShapeError
+from .detcomplex import koszul_det
+from .errors import InputError, ShapeError
 from .fields import GF
-from .koszul import build_complex
 from .linalg import Matrix
 from .polynomials import MultiPoly, PolySystem, mono_mul, monomials_of_degree
 
@@ -55,24 +53,6 @@ def macaulay_matrix(sys: PolySystem, columns) -> Matrix:
     return Matrix(field, grid, ncols=len(columns))
 
 
-def _signed_koszul_det(forms: PolySystem):
-    """Determinant of the degree-(rho + 1) Koszul complex of the forms,
-    with every stage's minor signed by the shuffle of its chosen rows, or
-    zero when the complex is not exact."""
-    rho = sum(forms.degrees) - forms.n
-    try:
-        trace = decompose_descending(build_complex(forms, rho + 1, ()))
-    except NotExact:
-        return forms.field.zero
-    value = trace.delta
-    for sel in trace.stage_minors:
-        rows = sel.row_indices if sel else ()
-        # sign of the permutation that moves the chosen rows to the front
-        if (sum(rows) - len(rows) * (len(rows) - 1) // 2) % 2:
-            value = -value
-    return value
-
-
 @functools.lru_cache(maxsize=64)
 def _diagonal_sign(degrees: tuple) -> int:
     """The signed Koszul determinant of x_1^{d_1}, ..., x_n^{d_n}: +-1.
@@ -88,7 +68,7 @@ def _diagonal_sign(degrees: tuple) -> int:
         ],
         degrees,
     )
-    return 1 if _signed_koszul_det(forms) == field.one else -1
+    return 1 if koszul_det(forms, sum(degrees) - n + 1, ()) == field.one else -1
 
 
 def resultant_macaulay(forms: PolySystem):
@@ -103,7 +83,7 @@ def resultant_macaulay(forms: PolySystem):
     for f, d in zip(forms.polys, forms.degrees):
         if not f.is_homogeneous_of(d):
             raise InputError("resultant input must be homogeneous forms")
-    value = _signed_koszul_det(forms)
+    value = koszul_det(forms, sum(forms.degrees) - forms.n + 1, ())
     return value if _diagonal_sign(forms.degrees) == 1 else -value
 
 

@@ -140,6 +140,10 @@ def test_vandermonde_rejects_non_roots():
     bad[0] = (F13.of(2), F13.of(3))
     with pytest.raises(InputError):
         vandermonde_verify(sys_, bad, m0_set((2, 2)))
+    # common roots, but one of them twice: the count alone does not catch it
+    repeated = list(roots[:-1]) + [roots[0]]
+    with pytest.raises(InputError):
+        vandermonde_verify(sys_, repeated, m0_set((2, 2)))
 
 
 def test_factorization_applicability():

@@ -203,8 +203,9 @@ def test_cli_upsilon(tmp_path, capsys):
     assert out.startswith("upsilon=")
 
 
-# Exact basis-check values on fixed dense systems, so that a change in the
-# choice of minors or in the sign convention shows up here.
+# Exact basis-check values on fixed dense systems.  The delta= value is the
+# shuffle-signed descending torsion, which no choice of minors can move, so
+# these pins catch a change of sign convention.
 DENSE_322_Q = """degrees: 3,2,2
 -2*x3^3 + x2*x3^2 + 3*x2^2*x3 + 3*x2^3 + 3*x1*x3^2 - 3*x1*x2*x3 - x1*x2^2 - 3*x1^2*x3 + 3*x1^3 + 2*x2^2 + 3*x1*x2 - 2*x1^2 - 3*x3 - 3*x1 + 3
 x2^2 + 3*x1*x3 + 3*x1*x2 - 3*x1^2 + 2*x3 - x1 + 2
@@ -227,14 +228,14 @@ M0_2222 = ("1,x4,x3,x3*x4,x2,x2*x4,x2*x3,x2*x3*x4,"
     "system, field, monomials, expected",
     [
         (DENSE_322_Q, "q", M0_322,
-         ["res=949693059", "delta=59078732265", "t=4",
-          "product=56106661966589848635"]),
+         ["res=949693059", "delta=-59078732265", "t=4",
+          "product=-56106661966589848635"]),
         # M0 with its top monomial times x1: delta(M) = rho + 1
         (DENSE_322_Q, "q", M0_322.replace("x1^2*x2*x3", "x1^3*x2*x3"),
          ["res=949693059", "delta=-68021189532034600365", "t=5",
           "product=-64599251563496718114479366535"]),
         (DENSE_2222_F101, "fp:101", M0_2222,
-         ["res=12", "delta=59", "t=4", "product=1"]),
+         ["res=12", "delta=42", "t=4", "product=100"]),
         (DENSE_2222_F101, "fp:101", M0_2222.replace("x1*x2*x3*x4", "x1^2*x2*x3*x4"),
          ["res=12", "delta=62", "t=5", "product=37"]),
     ],

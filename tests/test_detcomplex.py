@@ -1,10 +1,15 @@
 """Determinants of exact complexes: two decomposition orders must agree."""
+import math
 import random
 
 import pytest
 
 from monobasis import (
     GF,
+    QQ,
+    GradedComplex,
+    Matrix,
+    MonomialSet,
     MultiPoly,
     NotExact,
     PolySystem,
@@ -13,6 +18,7 @@ from monobasis import (
     decompose_descending,
     det_complex_ascending,
     det_complex_descending,
+    m0_set,
     monomials_of_degree,
 )
 from monobasis.hilbert import DegreeProfile, hilbert_H
@@ -28,6 +34,29 @@ def homog_random(rng, degrees, nvars=None):
         terms = {m: F101.of(rng.randrange(101)) for m in monomials_of_degree(v, d)}
         polys.append(MultiPoly(F101, v, terms))
     return PolySystem(polys, tuple(degrees))
+
+
+def affine_random(rng, field, degrees):
+    """Dense affine polynomials in n = len(degrees) variables with non-zero
+    coefficients in -3..3, f_i monic in x_i^{d_i}."""
+    n = len(degrees)
+    polys = []
+    for i, d in enumerate(degrees):
+        terms = {
+            m: field.of(rng.choice((-3, -2, -1, 1, 2, 3)))
+            for e in range(d + 1)
+            for m in monomials_of_degree(n, e)
+        }
+        terms[tuple(d if j == i else 0 for j in range(n))] = field.one
+        polys.append(MultiPoly(field, n, terms))
+    return PolySystem(polys, tuple(degrees))
+
+
+def lifted_m0(degrees):
+    """M0 with its top monomial times x1, so that delta(M) = rho + 1."""
+    top = tuple(d - 1 for d in degrees)
+    rest = [m for m in m0_set(degrees) if m != top]
+    return MonomialSet(rest + [(top[0] + 1,) + top[1:]])
 
 
 def pure_powers(degrees):
@@ -94,6 +123,82 @@ def test_ascending_equals_descending_up_to_sign():
             assert a == b or a == -b
             checked += 1
     assert checked > 40
+    # homogenized systems in n+1 variables over Q at t = delta(M)
+    for degrees in ((2, 2), (3, 2), (2, 2, 2)):
+        for M in (m0_set(degrees), lifted_m0(degrees)):
+            for _ in range(3):
+                hom = affine_random(rng, QQ, degrees).homogenized()
+                c = build_complex(hom, M.delta, M.homogenized_at(M.delta))
+                try:
+                    a = det_complex_ascending(c)
+                except NotExact:
+                    with pytest.raises(NotExact):
+                        decompose_descending(c)
+                    continue
+                b = det_complex_descending(c)
+                assert a == b or a == -b, (degrees, M)
+                checked += 1
+    assert checked > 55
+
+
+def permutation_sign(perm) -> int:
+    sign = 1
+    seen = set()
+    for start in range(len(perm)):
+        j, length = start, 0
+        while j not in seen:
+            seen.add(j)
+            j = perm[j]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def permuted(c, perms):
+    """c with term k's basis reordered: new element j is old perms[k][j]."""
+    diffs = tuple(
+        Matrix(c.field, [[d.rows[i][j] for j in perms[k]] for i in perms[k - 1]],
+               ncols=len(perms[k]))
+        for k, d in enumerate(c.differentials, start=1)
+    )
+    bases = tuple(tuple(b[i] for i in p) for b, p in zip(c.term_bases, perms))
+    return GradedComplex(c.s, c.t, c.nvars, bases, diffs, c.field)
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=["Q", "F101"])
+def test_descending_determinant_is_sign_canonical(field):
+    """Permuting the term bases, and the rows and columns of the
+    differentials with them, changes the descending determinant by exactly
+    the product of the permutations' signs: its sign does not depend on
+    which minors the greedy choice finds."""
+    rng = random.Random(71)
+    complexes = []
+    for degrees in ((2, 2), (3, 2), (2, 2, 2), (3, 2, 2)):
+        hom = affine_random(rng, field, degrees).homogenized()
+        M = m0_set(degrees)
+        rho = sum(degrees) - len(degrees)
+        for t in (rho, rho + 1):
+            complexes.append(build_complex(hom, t, M.homogenized_at(t)))
+    # one resultant complex: the forms alone in degree rho + 1, S empty
+    forms = affine_random(rng, field, (3, 2, 2)).leading_forms()
+    complexes.append(build_complex(forms, 5, ()))
+    exact = 0
+    for c in complexes:
+        try:
+            base = det_complex_descending(c)
+        except NotExact:
+            base = None
+        for _ in range(6):
+            perms = [rng.sample(range(d), d) for d in c.dims()]
+            sign = math.prod(permutation_sign(p) for p in perms)
+            if base is None:
+                with pytest.raises(NotExact):
+                    det_complex_descending(permuted(c, perms))
+                continue
+            assert det_complex_descending(permuted(c, perms)) == (base if sign == 1 else -base)
+        exact += base is not None
+    assert exact >= 7
 
 
 def test_scaling_one_polynomial_scales_the_determinant():

@@ -196,6 +196,26 @@ def test_resultant_is_multiplicative_in_each_form(field):
 
 
 @pytest.mark.parametrize("field", [QQ, F101], ids=["Q", "F101"])
+def test_resultant_degree_in_each_form(field):
+    """Res(.., c f_i, ..) = c^(prod_{j != i} d_j) Res(f): Res is homogeneous
+    of degree d_1...d_n / d_i in the coefficients of f_i."""
+    rng = random.Random(53)
+    nonzero = 0
+    for _ in range(24):
+        n = rng.choice((2, 3))
+        degrees = [rng.randrange(1, 4) for _ in range(n)]
+        slot = rng.randrange(n)
+        c = field.of(rng.choice((-3, -2, 2, 3, 5)))
+        forms = [random_form(rng, field, n, d, rng.choice((None, 2, 3))) for d in degrees]
+        scaled = forms[:slot] + [forms[slot] * c] + forms[slot + 1 :]
+        res = resultant_macaulay(PolySystem(forms, degrees))
+        want = c ** (math.prod(degrees) // degrees[slot]) * res
+        assert resultant_macaulay(PolySystem(scaled, degrees)) == want
+        nonzero += bool(res)
+    assert nonzero >= 12
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=["Q", "F101"])
 @pytest.mark.parametrize("degrees", [(2, 2, 1), (3, 2, 2), (2, 2, 1, 1), (2, 2, 2, 1)])
 def test_resultant_under_a_linear_change_of_variables(field, degrees):
     """Res(f o L) = det(L)^(d_1...d_n) Res(f), with its exact sign; f is
