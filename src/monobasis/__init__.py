@@ -24,8 +24,6 @@ from .detcomplex import (
     DecompositionTrace,
     decompose_ascending,
     decompose_descending,
-    det_complex_ascending,
-    det_complex_descending,
 )
 from .errors import (
     AlgebraError,
@@ -38,7 +36,7 @@ from .errors import (
 )
 from .fields import GF, QQ, FpElement, PrimeField, RationalField, field_from_spec
 from .hilbert import DegreeProfile, hilbert_H, hilbert_h
-from .koszul import BasisElement, GradedComplex, build_complex, differential_matrix
+from .koszul import BasisElement, GradedComplex, build_complex
 from .linalg import Matrix, MinorSelection, select_nonzero_maximal_minor
 from .polynomials import (
     MonomialSet,
@@ -51,7 +49,6 @@ from .polynomials import (
     monomials_of_degree,
 )
 from .resultants import (
-    ClassicalSubresultantSequence,
     classical_subresultants,
     resultant_macaulay,
     sylvester_resultant,

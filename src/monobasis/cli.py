@@ -77,7 +77,10 @@ def parse_poly(text: str, nvars: int, field) -> MultiPoly:
         while True:
             kind, value, pos = tokens[i]
             if kind == "num":
-                coeff = coeff * field.of(Fraction(value))
+                try:
+                    coeff = coeff * field.of(Fraction(value))
+                except ZeroDivisionError:
+                    raise ParseError(f"zero denominator in {value}", pos) from None
             elif kind == "var":
                 k = int(value[1:])
                 if not 1 <= k <= nvars:
@@ -126,17 +129,21 @@ def load_system(path: str, field) -> PolySystem:
     """Read a system file: `degrees: d1,..,dn` header, then one poly per line."""
     degrees = None
     polys = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if degrees is None:
-                if not line.lower().startswith("degrees:"):
-                    raise InputError("first line must declare `degrees: d1,..,dn`")
-                degrees = _degrees_arg(line.split(":", 1)[1])
-                continue
-            polys.append(parse_poly(line, len(degrees), field))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc.reason}") from None
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if degrees is None:
+            if not line.lower().startswith("degrees:"):
+                raise InputError("first line must declare `degrees: d1,..,dn`")
+            degrees = _degrees_arg(line.split(":", 1)[1])
+            continue
+        polys.append(parse_poly(line, len(degrees), field))
     if degrees is None:
         raise InputError("missing degrees header")
     if len(polys) != len(degrees):

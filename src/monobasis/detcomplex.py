@@ -1,10 +1,14 @@
 """Determinant of an exact complex via the two standard decompositions.
 
-Both procedures split each term of the complex with a deterministically
-chosen non-zero maximal minor and return the alternating product
+Both procedures are one loop over the differentials: every stage, the
+last one and an empty one included, restricts its map to the basis
+elements the previous stage left over and takes a deterministically
+chosen non-zero maximal minor of it (an empty matrix has the empty minor,
+of value 1).  They return the alternating product
 prod det(phi_{i+1})^((-1)^i).  The two results agree up to sign on every
-exact complex; when a stage has no non-zero maximal minor the complex is
-not exact and NotExact is raised (callers read this as "determinant 0").
+exact complex; when a stage has no non-zero maximal minor, or basis
+elements are left over after the last stage, the complex is not exact and
+NotExact is raised (callers read this as "determinant 0").
 
 The descending decomposition signs each stage's minor by the shuffle that
 moves its chosen rows to the front, so its value is the torsion of the
@@ -29,8 +33,6 @@ __all__ = [
     "DecompositionTrace",
     "decompose_ascending",
     "decompose_descending",
-    "det_complex_ascending",
-    "det_complex_descending",
     "koszul_det",
 ]
 
@@ -40,7 +42,7 @@ class DecompositionTrace:
     """Per-stage minors and determinants, and the final alternating product."""
 
     direction: str
-    stage_minors: tuple  # MinorSelection or None (empty stage) per map index 1..s
+    stage_minors: tuple  # one MinorSelection per map index 1..s
     stage_dets: tuple
     delta: object
 
@@ -56,30 +58,22 @@ def _alternating_product(field, dets):
 def decompose_ascending(c: GradedComplex) -> DecompositionTrace:
     """Splitting from the right-most term, choosing column sets."""
     dims = c.dims()
-    field = c.field
     rows = list(range(dims[0]))
     minors = []
-    dets = []
     for k in range(1, c.s + 1):
-        d_k = c.differentials[k - 1]
-        if not rows:
-            minors.append(None)
-            dets.append(field.one)
-            rows = list(range(dims[k]))
-            continue
-        restricted = d_k.submatrix(rows, range(dims[k]))
+        restricted = c.differentials[k - 1].submatrix(rows, range(dims[k]))
         try:
             sel = select_nonzero_maximal_minor(restricted, "cols")
         except NotFullRank:
             raise NotExact(f"stage {k}: restricted differential is not onto") from None
         minors.append(sel)
-        dets.append(sel.minor_value)
         chosen = set(sel.col_indices)
         rows = [j for j in range(dims[k]) if j not in chosen]
     if rows:
         raise NotExact("leftover basis elements after the last term")
+    dets = [sel.minor_value for sel in minors]
     return DecompositionTrace(
-        "ascending", tuple(minors), tuple(dets), _alternating_product(field, dets)
+        "ascending", tuple(minors), tuple(dets), _alternating_product(c.field, dets)
     )
 
 
@@ -87,52 +81,29 @@ def decompose_descending(c: GradedComplex) -> DecompositionTrace:
     """Splitting from the left-most term, choosing row sets; each stage's
     minor is signed by the shuffle of its chosen rows."""
     dims = c.dims()
-    field = c.field
-    if c.s == 0:
-        if dims[0]:
-            raise NotExact("no differentials but a non-trivial target")
-        return DecompositionTrace("descending", (), (), field.one)
-    minors = [None] * c.s
-    dets = [field.one] * c.s
     cols = list(range(dims[c.s]))
-    for k in range(c.s, 1, -1):
-        d_k = c.differentials[k - 1]
-        if not cols:
-            cols = list(range(dims[k - 1]))
-            continue
-        restricted = d_k.submatrix(range(dims[k - 1]), cols)
+    minors = []
+    dets = []
+    for k in range(c.s, 0, -1):
+        restricted = c.differentials[k - 1].submatrix(range(dims[k - 1]), cols)
         try:
             sel = select_nonzero_maximal_minor(restricted, "rows")
         except NotFullRank:
             raise NotExact(f"stage {k}: restricted differential is not into") from None
-        minors[k - 1] = sel
         rows = sel.row_indices
         # sign of the permutation that moves the chosen rows to the front
         odd = (sum(rows) - len(rows) * (len(rows) - 1) // 2) % 2
-        dets[k - 1] = -sel.minor_value if odd else sel.minor_value
+        minors.append(sel)
+        dets.append(-sel.minor_value if odd else sel.minor_value)
         chosen = set(rows)
         cols = [i for i in range(dims[k - 1]) if i not in chosen]
-    if len(cols) != dims[0]:
-        raise NotExact("final stage is not square")
-    if dims[0]:
-        restricted = c.differentials[0].submatrix(range(dims[0]), cols)
-        value = restricted.det()
-        if not value:
-            raise NotExact("final square matrix is singular")
-        dets[0] = value
+    if cols:
+        raise NotExact("leftover basis elements after the first term")
+    minors.reverse()
+    dets.reverse()
     return DecompositionTrace(
-        "descending", tuple(minors), tuple(dets), _alternating_product(field, dets)
+        "descending", tuple(minors), tuple(dets), _alternating_product(c.field, dets)
     )
-
-
-def det_complex_ascending(c: GradedComplex):
-    """Determinant of the complex by the ascending decomposition."""
-    return decompose_ascending(c).delta
-
-
-def det_complex_descending(c: GradedComplex):
-    """Determinant of the complex by the descending decomposition."""
-    return decompose_descending(c).delta
 
 
 def koszul_det(sys: PolySystem, t: int, S):

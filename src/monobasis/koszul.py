@@ -20,7 +20,7 @@ from .errors import InputError
 from .linalg import Matrix
 from .polynomials import PolySystem, mono_mul, monomials_of_degree
 
-__all__ = ["BasisElement", "GradedComplex", "build_complex", "differential_matrix"]
+__all__ = ["BasisElement", "GradedComplex", "build_complex"]
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,6 @@ class GradedComplex:
 
     def dims(self) -> list:
         return [len(b) for b in self.term_bases]
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * len(b) for k, b in enumerate(self.term_bases))
 
 
 def build_complex(sys: PolySystem, t: int, S) -> GradedComplex:
@@ -116,10 +113,3 @@ def build_complex(sys: PolySystem, t: int, S) -> GradedComplex:
         differentials=tuple(diffs),
         field=field,
     )
-
-
-def differential_matrix(c: GradedComplex, k: int) -> Matrix:
-    """The matrix of the k-th differential, rows B_{k-1}, columns B_k."""
-    if not 1 <= k <= c.s:
-        raise InputError(f"differential index {k} out of range 1..{c.s}")
-    return c.differentials[k - 1]

@@ -12,7 +12,6 @@ Res(x_1^{d_1}, ..., x_n^{d_n}) = 1.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .detcomplex import koszul_det
 from .errors import InputError, ShapeError
@@ -21,7 +20,6 @@ from .linalg import Matrix
 from .polynomials import MultiPoly, PolySystem, mono_mul, monomials_of_degree
 
 __all__ = [
-    "ClassicalSubresultantSequence",
     "classical_subresultants",
     "macaulay_matrix",
     "resultant_macaulay",
@@ -76,13 +74,11 @@ def resultant_macaulay(forms: PolySystem):
 
     The signed determinant of the forms' Koszul complex in degree
     rho + 1, divided by that of x_1^{d_1}, ..., x_n^{d_n} (which is +-1);
-    zero exactly when the complex is not exact.
+    zero exactly when the complex is not exact.  A form that is not
+    homogeneous of its declared degree is an InputError of ``build_complex``.
     """
     if forms.nvars != forms.n:
         raise ShapeError("need as many variables as forms")
-    for f, d in zip(forms.polys, forms.degrees):
-        if not f.is_homogeneous_of(d):
-            raise InputError("resultant input must be homogeneous forms")
     value = koszul_det(forms, sum(forms.degrees) - forms.n + 1, ())
     return value if _diagonal_sign(forms.degrees) == 1 else -value
 
@@ -131,30 +127,14 @@ def sylvester_resultant(f: MultiPoly, g: MultiPoly, d1: int, d2: int):
     return Matrix(f.field, rows, ncols=d1 + d2).det()
 
 
-@dataclass(frozen=True)
-class ClassicalSubresultantSequence:
-    """Principal subresultant coefficients R_1 .. R_{d1-1}."""
-
-    values: tuple
-
-    def __getitem__(self, k: int):
-        # 1-based, matching the usual R_k notation
-        return self.values[k - 1]
-
-    def __len__(self):
-        return len(self.values)
-
-
-def classical_subresultants(
-    f: MultiPoly, g: MultiPoly, d1: int, d2: int
-) -> ClassicalSubresultantSequence:
-    """R_k for k = 1..d1-1 as Sylvester-submatrix determinants (d1 <= d2)."""
+def classical_subresultants(f: MultiPoly, g: MultiPoly, d1: int, d2: int) -> dict:
+    """{k: R_k} for k = 1..d1-1 as Sylvester-submatrix determinants (d1 <= d2)."""
     if not 1 <= d1 <= d2:
         raise InputError("need 1 <= d1 <= d2")
     fc = _univariate_coeffs(f, d1)
     gc = _univariate_coeffs(g, d2)
-    values = []
+    values = {}
     for k in range(1, d1):
         rows = _sylvester_like(f.field, fc, gc, d1, d2, k)
-        values.append(Matrix(f.field, rows, ncols=d1 + d2 - 2 * k).det())
-    return ClassicalSubresultantSequence(tuple(values))
+        values[k] = Matrix(f.field, rows, ncols=d1 + d2 - 2 * k).det()
+    return values

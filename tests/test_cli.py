@@ -125,7 +125,7 @@ def test_cli_basis_check_answers_where_the_extraneous_minor_vanishes(tmp_path, c
     assert code in (0, 1) and "oracle=agree" in out
 
 
-def test_cli_usage_and_input_errors(grid22, capsys):
+def test_cli_usage_and_input_errors(grid22, tmp_path, capsys):
     assert main(["basis-check", "--field", "q", "--system", grid22,
                  "--monomials", "1,x1,x2,x4"]) == 2
     assert main(["basis-check", "--field", "q", "--system", "/nonexistent",
@@ -133,6 +133,25 @@ def test_cli_usage_and_input_errors(grid22, capsys):
     assert main(["no-such-command"]) == 2
     assert main(["hilbert", "--degrees", "2,x", "--tau", "1"]) == 2
     capsys.readouterr()
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"degrees: 2\n\xff\xfe x1^2\n")
+    assert main(["resultant", "--field", "q", "--system", str(binary)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_zero_denominator_is_a_parse_error(grid22, tmp_path, capsys):
+    with pytest.raises(ParseError) as exc:
+        parse_poly("1/0*x1", 1, QQ)
+    assert exc.value.position == 0
+    path = tmp_path / "sys.txt"
+    path.write_text("degrees: 2,2\nx1^2 - 1/0\nx2^2 - 1\n")
+    assert main(["basis-check", "--field", "q", "--system", str(path),
+                 "--monomials", "1,x1,x2,x1*x2"]) == 2
+    assert capsys.readouterr().err.startswith("parse error:")
+    for g in ("1/0*x1", "x1 + 3/00"):
+        assert main(["mulmat", "--field", "fp:101", "--system", grid22,
+                     "--monomials", "1,x1,x2,x1*x2", "--g", g]) == 2
+        assert capsys.readouterr().err.startswith("parse error:")
 
 
 @pytest.mark.parametrize("header", ["degrees: 2,x", "degrees:", "degrees: 0,2"])

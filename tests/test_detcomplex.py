@@ -7,8 +7,10 @@ import pytest
 from monobasis import (
     GF,
     QQ,
+    BasisElement,
     GradedComplex,
     Matrix,
+    MinorSelection,
     MonomialSet,
     MultiPoly,
     NotExact,
@@ -16,8 +18,6 @@ from monobasis import (
     build_complex,
     decompose_ascending,
     decompose_descending,
-    det_complex_ascending,
-    det_complex_descending,
     m0_set,
     monomials_of_degree,
 )
@@ -82,7 +82,7 @@ def test_single_equation_complex_is_multiplication_map():
     t = 3
     S = [(3, 0), (2, 1)]  # leave two monomials, map from two
     c = build_complex(sys2, t, S)
-    val = det_complex_ascending(c)
+    val = decompose_ascending(c).delta
     d1 = c.differentials[0]
     keep = [i for i, be in enumerate(c.term_bases[0])]
     assert len(keep) == d1.ncols
@@ -94,7 +94,7 @@ def test_pure_power_complex_has_unit_determinant():
     t = 2
     S = [(1, 1)]  # H(2) for (2,2) in 2 vars is 1
     c = build_complex(sys_, t, S)
-    v = det_complex_ascending(c)
+    v = decompose_ascending(c).delta
     assert v == F101.one or v == -F101.one
 
 
@@ -114,12 +114,12 @@ def test_ascending_equals_descending_up_to_sign():
             S = rng.sample(monos, hval)
             c = build_complex(sys_, t, S)
             try:
-                a = det_complex_ascending(c)
+                a = decompose_ascending(c).delta
             except NotExact:
                 with pytest.raises(NotExact):
                     decompose_descending(c)
                 continue
-            b = det_complex_descending(c)
+            b = decompose_descending(c).delta
             assert a == b or a == -b
             checked += 1
     assert checked > 40
@@ -130,12 +130,12 @@ def test_ascending_equals_descending_up_to_sign():
                 hom = affine_random(rng, QQ, degrees).homogenized()
                 c = build_complex(hom, M.delta, M.homogenized_at(M.delta))
                 try:
-                    a = det_complex_ascending(c)
+                    a = decompose_ascending(c).delta
                 except NotExact:
                     with pytest.raises(NotExact):
                         decompose_descending(c)
                     continue
-                b = det_complex_descending(c)
+                b = decompose_descending(c).delta
                 assert a == b or a == -b, (degrees, M)
                 checked += 1
     assert checked > 55
@@ -186,7 +186,7 @@ def test_descending_determinant_is_sign_canonical(field):
     exact = 0
     for c in complexes:
         try:
-            base = det_complex_descending(c)
+            base = decompose_descending(c).delta
         except NotExact:
             base = None
         for _ in range(6):
@@ -194,9 +194,9 @@ def test_descending_determinant_is_sign_canonical(field):
             sign = math.prod(permutation_sign(p) for p in perms)
             if base is None:
                 with pytest.raises(NotExact):
-                    det_complex_descending(permuted(c, perms))
+                    decompose_descending(permuted(c, perms)).delta
                 continue
-            assert det_complex_descending(permuted(c, perms)) == (base if sign == 1 else -base)
+            assert decompose_descending(permuted(c, perms)).delta == (base if sign == 1 else -base)
         exact += base is not None
     assert exact >= 7
 
@@ -209,10 +209,10 @@ def test_scaling_one_polynomial_scales_the_determinant():
     sys_ = homog_random(rng, degrees)
     hval = required_cardinality(degrees, 2, t)
     S = monomials_of_degree(2, t)[:hval]
-    base = det_complex_ascending(build_complex(sys_, t, S))
+    base = decompose_ascending(build_complex(sys_, t, S)).delta
     c = F101.of(7)
     scaled = PolySystem([sys_.polys[0] * c, sys_.polys[1]], degrees)
-    new = det_complex_ascending(build_complex(scaled, t, S))
+    new = decompose_ascending(build_complex(scaled, t, S)).delta
     # degree of Delta in the coefficients of P_1 for n=2 at this level:
     # dim of the x^a e_1 block minus the e_12 block
     d_e1 = len(monomials_of_degree(2, t - 2))
@@ -244,4 +244,43 @@ def test_trace_structure():
     tr = decompose_ascending(c)
     assert tr.direction == "ascending"
     assert len(tr.stage_dets) == len(c.term_bases) - 1 or len(tr.stage_dets) >= 1
-    assert tr.delta == det_complex_ascending(c)
+    assert tr.delta == decompose_ascending(c).delta
+
+
+DECOMPOSITIONS = (decompose_ascending, decompose_descending)
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=["Q", "F101"])
+def test_complex_without_differentials(field):
+    """s = 0: the determinant is 1 on an empty target and the complex is
+    not exact on a non-empty one, in both directions."""
+    empty = GradedComplex(0, 1, 1, ((),), (), field)
+    point = GradedComplex(0, 1, 1, ((BasisElement((1,), ()),),), (), field)
+    for decompose in DECOMPOSITIONS:
+        tr = decompose(empty)
+        assert tr.delta == field.one and tr.stage_minors == ()
+        with pytest.raises(NotExact):
+            decompose(point)
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=["Q", "F101"])
+def test_empty_and_non_square_last_stages(field):
+    """x1^2 + x2^2, x1*x2 at t = 2: term 2 is empty and term 1 has two
+    elements, so only #S = 1 leaves a square last stage."""
+    one = field.one
+    sys_ = PolySystem(
+        [MultiPoly(field, 2, {(2, 0): one, (0, 2): one}), MultiPoly(field, 2, {(1, 1): one})],
+        (2, 2),
+    )
+    for S in ([], [(2, 0), (0, 2)], [(2, 0), (1, 1), (0, 2)]):
+        c = build_complex(sys_, 2, S)
+        for decompose in DECOMPOSITIONS:
+            with pytest.raises(NotExact):
+                decompose(c)
+    c = build_complex(sys_, 2, [(2, 0)])
+    assert c.dims() == [2, 2, 0]
+    asc, desc = decompose_ascending(c), decompose_descending(c)
+    assert asc.delta == desc.delta and asc.delta in (one, -one)
+    for tr in (asc, desc):
+        assert len(tr.stage_minors) == c.s
+        assert all(isinstance(sel, MinorSelection) for sel in tr.stage_minors)

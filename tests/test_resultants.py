@@ -8,9 +8,11 @@ import pytest
 from monobasis import (
     GF,
     QQ,
+    InputError,
     Matrix,
     MultiPoly,
     PolySystem,
+    ShapeError,
     classical_subresultants,
     linear_transform,
     monomials_of_degree,
@@ -250,6 +252,24 @@ def test_resultant_nonzero_iff_the_macaulay_map_is_onto(field):
         assert bool(resultant_macaulay(forms)) == onto
         seen.add(onto)
     assert seen == {True, False}
+
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=["Q", "F101"])
+def test_resultant_input_checks(field):
+    """A form that is not homogeneous of its declared degree is an
+    InputError (raised where the complex is built); two forms in three
+    variables are a ShapeError."""
+    sq = MultiPoly(field, 2, {(2, 0): field.one, (0, 2): field.one})
+    affine = MultiPoly(field, 2, {(2, 0): field.one, (0, 1): field.one})
+    with pytest.raises(InputError):
+        resultant_macaulay(PolySystem([sq, affine], (2, 2)))
+    with pytest.raises(InputError):
+        resultant_macaulay(PolySystem([sq, sq], (2, 3)))
+    forms3 = [MultiPoly(field, 3, {(2, 0, 0): field.one, (0, 1, 1): field.one}),
+              MultiPoly(field, 3, {(0, 2, 0): field.one})]
+    with pytest.raises(ShapeError):
+        resultant_macaulay(PolySystem(forms3, (2, 2)))
 
 
 def test_classical_subresultants_gcd_oracle():
