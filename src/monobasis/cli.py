@@ -111,16 +111,25 @@ def parse_poly(text: str, nvars: int, field) -> MultiPoly:
 
 
 def parse_monomial_list(text: str, nvars: int, field) -> MonomialSet:
-    """Comma-separated monomials (`1` for the constant) -> MonomialSet."""
+    """Comma-separated monomials (`1` for the constant) -> MonomialSet.
+
+    Error positions count from the start of ``text``.
+    """
     monos = []
-    for part in text.split(","):
-        part = part.strip()
+    start = 0
+    for entry in text.split(","):
+        part = entry.strip()
+        at = start + len(entry) - len(entry.lstrip())
+        start += len(entry) + 1
         if not part:
-            raise ParseError("empty entry in monomial list", 0)
-        p = parse_poly(part, nvars, field)
+            raise ParseError("empty entry in monomial list", at)
+        try:
+            p = parse_poly(part, nvars, field)
+        except ParseError as exc:
+            raise ParseError(exc.message, at + exc.position) from None
         supp = p.support()
         if len(supp) != 1 or p.terms[supp[0]] != field.one:
-            raise ParseError(f"{part!r} is not a monomial", 0)
+            raise ParseError(f"{part!r} is not a monomial", at)
         monos.append(supp[0])
     return MonomialSet(monos)
 
@@ -134,7 +143,7 @@ def load_system(path: str, field) -> PolySystem:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc.reason}") from None
-    for raw in lines:
+    for number, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -143,7 +152,11 @@ def load_system(path: str, field) -> PolySystem:
                 raise InputError("first line must declare `degrees: d1,..,dn`")
             degrees = _degrees_arg(line.split(":", 1)[1])
             continue
-        polys.append(parse_poly(line, len(degrees), field))
+        try:
+            polys.append(parse_poly(line, len(degrees), field))
+        except ParseError as exc:
+            at = len(raw) - len(raw.lstrip()) + exc.position
+            raise ParseError(f"{path}, line {number}: {exc.message}", at) from None
     if degrees is None:
         raise InputError("missing degrees header")
     if len(polys) != len(degrees):

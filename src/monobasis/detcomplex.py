@@ -11,7 +11,7 @@ elements are left over after the last stage, the complex is not exact and
 NotExact is raised (callers read this as "determinant 0").
 
 The descending decomposition signs each stage's minor by the shuffle that
-moves its chosen rows to the front, so its value is the torsion of the
+moves its chosen columns to the front, so its value is the torsion of the
 complex in the given term bases: it does not depend on which minors were
 chosen, and permuting the bases changes it by the product of the
 permutations' signs.  ``koszul_det`` is that value for the degree-t
@@ -56,20 +56,20 @@ def _alternating_product(field, dets):
 
 
 def decompose_ascending(c: GradedComplex) -> DecompositionTrace:
-    """Splitting from the right-most term, choosing column sets."""
+    """Splitting from the right-most term, choosing row sets."""
     dims = c.dims()
-    rows = list(range(dims[0]))
+    cols = list(range(dims[0]))
     minors = []
     for k in range(1, c.s + 1):
-        restricted = c.differentials[k - 1].submatrix(rows, range(dims[k]))
+        restricted = c.differentials[k - 1].submatrix(range(dims[k]), cols)
         try:
-            sel = select_nonzero_maximal_minor(restricted, "cols")
+            sel = select_nonzero_maximal_minor(restricted, "rows")
         except NotFullRank:
             raise NotExact(f"stage {k}: restricted differential is not onto") from None
         minors.append(sel)
-        chosen = set(sel.col_indices)
-        rows = [j for j in range(dims[k]) if j not in chosen]
-    if rows:
+        chosen = set(sel.row_indices)
+        cols = [i for i in range(dims[k]) if i not in chosen]
+    if cols:
         raise NotExact("leftover basis elements after the last term")
     dets = [sel.minor_value for sel in minors]
     return DecompositionTrace(
@@ -78,26 +78,26 @@ def decompose_ascending(c: GradedComplex) -> DecompositionTrace:
 
 
 def decompose_descending(c: GradedComplex) -> DecompositionTrace:
-    """Splitting from the left-most term, choosing row sets; each stage's
-    minor is signed by the shuffle of its chosen rows."""
+    """Splitting from the left-most term, choosing column sets; each
+    stage's minor is signed by the shuffle of its chosen columns."""
     dims = c.dims()
-    cols = list(range(dims[c.s]))
+    rows = list(range(dims[c.s]))
     minors = []
     dets = []
     for k in range(c.s, 0, -1):
-        restricted = c.differentials[k - 1].submatrix(range(dims[k - 1]), cols)
+        restricted = c.differentials[k - 1].submatrix(rows, range(dims[k - 1]))
         try:
-            sel = select_nonzero_maximal_minor(restricted, "rows")
+            sel = select_nonzero_maximal_minor(restricted, "cols")
         except NotFullRank:
             raise NotExact(f"stage {k}: restricted differential is not into") from None
-        rows = sel.row_indices
-        # sign of the permutation that moves the chosen rows to the front
-        odd = (sum(rows) - len(rows) * (len(rows) - 1) // 2) % 2
+        cols = sel.col_indices
+        # sign of the permutation that moves the chosen columns to the front
+        odd = (sum(cols) - len(cols) * (len(cols) - 1) // 2) % 2
         minors.append(sel)
         dets.append(-sel.minor_value if odd else sel.minor_value)
-        chosen = set(rows)
-        cols = [i for i in range(dims[k - 1]) if i not in chosen]
-    if cols:
+        chosen = set(cols)
+        rows = [j for j in range(dims[k - 1]) if j not in chosen]
+    if rows:
         raise NotExact("leftover basis elements after the first term")
     minors.reverse()
     dets.reverse()

@@ -1,4 +1,4 @@
-"""Hilbert functions of complete intersections via truncated power series.
+"""Hilbert functions of complete intersections in closed form.
 
 Both H (quotient by a regular sequence in n+1 variables) and h (same in n
 variables) are coefficients of prod(1 - T^{d_j}) / (1 - T)^v, with v the
@@ -7,7 +7,7 @@ ambient variable count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import comb, prod
 
 from .errors import InputError
 
@@ -39,35 +39,28 @@ class DegreeProfile:
         return prod(self.degrees)
 
 
-def series_coefficients(degrees, denominator_vars: int, upto: int) -> list:
-    """Coefficients 0..upto of prod(1 - T^{d_j}) / (1 - T)^denominator_vars."""
-    coeffs = [0] * (upto + 1)
-    coeffs[0] = 1
-    for d in degrees:
-        for k in range(upto, d - 1, -1):
-            coeffs[k] -= coeffs[k - d]
-    for _ in range(denominator_vars):
-        for k in range(1, upto + 1):
-            coeffs[k] += coeffs[k - 1]
-    return coeffs
-
-
 def required_cardinality(degrees, nvars: int, t: int) -> int:
-    """#S needed for the degree-t complex C_t(S) in ``nvars`` variables."""
-    if t < 0:
-        return 0
-    return series_coefficients(degrees, nvars, t)[t]
+    """#S needed for the degree-t complex C_t(S) in ``nvars`` variables:
+    sum_e c_e * C(t - e + nvars - 1, nvars - 1) for c_e the coefficients of
+    prod(1 - T^{d_j}), so sum(d_j) + 1 terms whatever t is."""
+    coeffs = [1] + [0] * sum(degrees)
+    for d in degrees:
+        for k in range(len(coeffs) - 1, d - 1, -1):
+            coeffs[k] -= coeffs[k - d]
+    return sum(
+        c * comb(t - e + nvars - 1, nvars - 1) for e, c in enumerate(coeffs) if e <= t
+    )
 
 
 def hilbert_H(profile: DegreeProfile, tau: int) -> int:
     """dim of the degree-tau piece of the quotient in n+1 variables."""
     if tau < 0:
         raise InputError("tau must be non-negative")
-    return series_coefficients(profile.degrees, profile.n + 1, tau)[tau]
+    return required_cardinality(profile.degrees, profile.n + 1, tau)
 
 
 def hilbert_h(profile: DegreeProfile, tau: int) -> int:
     """dim of the degree-tau piece of the quotient in n variables."""
     if tau < 0:
         raise InputError("tau must be non-negative")
-    return series_coefficients(profile.degrees, profile.n, tau)[tau]
+    return required_cardinality(profile.degrees, profile.n, tau)

@@ -10,21 +10,25 @@ such an element to sum_j (-1)^(j+1) x^a P_{i_j} (e with the j-th factor
 omitted); the last map additionally drops the coefficients of monomials
 in S.  The sign convention is fixed here once and for all; it only moves
 the determinant of the complex by a global sign.
+
+Every map is stored in Macaulay's layout, one row per source element
+holding its image on the target elements (``koszul_map``), so the first
+map is Macaulay's matrix of the P_i on the degree-t monomials outside S.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError
 from .linalg import Matrix
 from .polynomials import PolySystem, mono_mul, monomials_of_degree
 
-__all__ = ["BasisElement", "GradedComplex", "build_complex"]
+__all__ = ["BasisElement", "GradedComplex", "build_complex", "koszul_map"]
 
 
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(NamedTuple):
     """x^monomial e_{i_1} ^ ... ^ e_{i_k}, wedge indices 1-based and increasing."""
 
     monomial: tuple
@@ -45,18 +49,44 @@ class GradedComplex:
     t: int
     nvars: int
     term_bases: tuple  # term_bases[k] = tuple of BasisElement
-    differentials: tuple  # differentials[k-1]: Matrix from term k to term k-1
+    differentials: tuple  # [k-1]: term k -> k-1, rows on term k, columns on k-1
     field: object
 
     def dims(self) -> list:
         return [len(b) for b in self.term_bases]
 
 
+def koszul_map(sys: PolySystem, source, target) -> Matrix:
+    """The map between two sequences of (monomial, wedge) pairs: row r is
+    the image of source[r].  Image terms of wedge () outside ``target`` are
+    dropped (the last map's projection); any other miss is a bug."""
+    zero = sys.field.zero
+    index = {}  # wedge -> monomial -> column
+    for j, (m, wedge) in enumerate(target):
+        index.setdefault(wedge, {})[m] = j
+    rows = []
+    for a, wedge in source:
+        row = [zero] * len(target)
+        for j, i in enumerate(wedge):
+            rest = wedge[:j] + wedge[j + 1 :]
+            cols = index.get(rest) or {}
+            negate = j % 2 == 1
+            for mono, coeff in sys.polys[i - 1].terms.items():
+                col = cols.get(mono_mul(a, mono))
+                # each (row, col) is hit once: distinct j give distinct
+                # wedges, distinct terms distinct monomials
+                if col is not None:
+                    row[col] = -coeff if negate else coeff
+                elif rest:
+                    raise AssertionError("differential target missing")
+        rows.append(row)
+    return Matrix(sys.field, rows, ncols=len(target))
+
+
 def build_complex(sys: PolySystem, t: int, S) -> GradedComplex:
     """Build C_t^s for a homogeneous system and a degree-t monomial set S."""
     v = sys.nvars
     s = sys.n
-    field = sys.field
     degrees = sys.degrees
     for f, d in zip(sys.polys, degrees):
         if not f.is_homogeneous_of(d):
@@ -81,35 +111,13 @@ def build_complex(sys: PolySystem, t: int, S) -> GradedComplex:
             for m in monomials_of_degree(v, deg):
                 bk.append(BasisElement(m, wedge))
         bases.append(tuple(bk))
-
-    diffs = []
-    for k in range(1, s + 1):
-        source = bases[k]
-        target = bases[k - 1]
-        index = {(be.monomial, be.wedge): i for i, be in enumerate(target)}
-        grid = [[field.zero] * len(source) for _ in range(len(target))]
-        for col, be in enumerate(source):
-            for j, ij in enumerate(be.wedge):
-                rest = be.wedge[:j] + be.wedge[j + 1 :]
-                negate = j % 2 == 1
-                for mono, coeff in sys.polys[ij - 1].terms.items():
-                    key = (mono_mul(be.monomial, mono), rest)
-                    row = index.get(key)
-                    if row is None:
-                        # only the last map projects; elsewhere a miss is a bug
-                        if k != 1:
-                            raise AssertionError("differential target missing")
-                        continue
-                    # each (row, col) is hit once: distinct j give distinct
-                    # wedges, distinct terms distinct monomials
-                    grid[row][col] = -coeff if negate else coeff
-        diffs.append(Matrix(field, grid, ncols=len(source)))
+    diffs = tuple(koszul_map(sys, bases[k], bases[k - 1]) for k in range(1, s + 1))
 
     return GradedComplex(
         s=s,
         t=t,
         nvars=v,
         term_bases=tuple(bases),
-        differentials=tuple(diffs),
-        field=field,
+        differentials=diffs,
+        field=sys.field,
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DegreeError, InputError, ShapeError
@@ -32,6 +33,8 @@ def monomials_of_degree(nvars: int, d: int) -> list:
         return []
     if nvars < 1:
         raise InputError("need at least one variable")
+    if math.comb(d + nvars - 1, nvars - 1) > sys.maxsize:
+        raise InputError(f"too many monomials of degree {d} in {nvars} variables to list")
 
     def gen(rest, deg):
         if rest == 1:

@@ -16,8 +16,9 @@ import functools
 from .detcomplex import koszul_det
 from .errors import InputError, ShapeError
 from .fields import GF
+from .koszul import koszul_map
 from .linalg import Matrix
-from .polynomials import MultiPoly, PolySystem, mono_mul, monomials_of_degree
+from .polynomials import MultiPoly, PolySystem, monomials_of_degree
 
 __all__ = [
     "classical_subresultants",
@@ -33,22 +34,14 @@ def macaulay_matrix(sys: PolySystem, columns) -> Matrix:
     The columns are monomials of one degree t.  Row (i, b), for every
     multiplier x^b with deg b = t - d_i, holds the coefficients of x^b f_i
     on the columns; coefficients outside the columns are dropped.  So the
-    row space is the degree-t piece of the ideal, cut to the columns.
+    row space is the degree-t piece of the ideal, cut to the columns.  It
+    is the first Koszul map with the columns as its target.
     """
     # an empty column set has no degree and gets no rows
     t = sum(columns[0]) if columns else 0
-    field = sys.field
-    col_index = {m: j for j, m in enumerate(columns)}
-    grid = []
-    for f, d in zip(sys.polys, sys.degrees):
-        for b in monomials_of_degree(sys.nvars, t - d):
-            row = [field.zero] * len(columns)
-            for mono, coeff in f.terms.items():
-                j = col_index.get(mono_mul(b, mono))
-                if j is not None:
-                    row[j] = coeff
-            grid.append(row)
-    return Matrix(field, grid, ncols=len(columns))
+    sources = [(b, (i,)) for i, d in enumerate(sys.degrees, 1)
+               for b in monomials_of_degree(sys.nvars, t - d)]
+    return koszul_map(sys, sources, [(m, ()) for m in columns])
 
 
 @functools.lru_cache(maxsize=64)

@@ -308,3 +308,12 @@ def test_rank_oracle_rejects_leading_forms_with_a_common_zero():
         # the leading forms x1*x2, x2*x3, x1*x3 share the zero (1 : 0 : 0)
         assert all(not f.evaluate((1, 0, 0)) for f in sys_.leading_forms().polys)
         assert rank_oracle(sys_, m0_set((2, 2, 2))) is False
+
+
+def test_huge_exponent_is_an_input_error_not_an_enumeration():
+    sys_ = parsed_system(["x1^2 - 1", "x2^2 - 1"], (2, 2), QQ)
+    M = MonomialSet([(99999999999, 0), (1, 0), (0, 1), (1, 1)])
+    with pytest.raises(InputError):
+        rank_oracle(sys_, M)
+    with pytest.raises(InputError):
+        certify_basis(sys_, M)

@@ -56,6 +56,27 @@ def test_monomial_list():
         parse_monomial_list("1, 2*x1", 2, QQ)
 
 
+def test_monomial_list_error_positions_count_from_the_whole_list():
+    for text, position in [("1,x1,x2,x9", 8), ("1, 2*x1", 3), ("x1, x1 +", 7), ("1,,x1", 2)]:
+        with pytest.raises(ParseError) as exc:
+            parse_monomial_list(text, 2, QQ)
+        assert exc.value.position == position, text
+
+
+def test_load_system_names_the_file_and_line_of_a_bad_polynomial(tmp_path, capsys):
+    path = tmp_path / "sys.txt"
+    path.write_text("degrees: 2,2\nx1^2-1\nx2^2-x3\n")
+    with pytest.raises(ParseError) as exc:
+        load_system(str(path), QQ)
+    assert exc.value.position == 5
+    assert str(exc.value).startswith(f"{path}, line 3: unknown variable x3")
+    path.write_text("degrees: 2,2\nx1^2-1\n  x2^2-x3  # comment\n")
+    assert main(["resultant", "--field", "q", "--system", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"parse error: {path}, line 3: unknown variable x3 (at position 7)\n"
+    )
+
+
 def test_load_system(tmp_path):
     path = tmp_path / "sys.txt"
     path.write_text(
@@ -89,6 +110,15 @@ def test_cli_hilbert(capsys):
     assert main(["hilbert", "--degrees", "2,2,2", "--tau", "3"]) == 0
     out = capsys.readouterr().out
     assert out.strip() == "H=8 h=1 rho=3 d=8"
+
+
+def test_cli_huge_exponents(grid22, capsys):
+    assert main(["hilbert", "--degrees", "2,2", "--tau", "99999999999"]) == 0
+    assert capsys.readouterr().out == "H=4 h=0 rho=2 d=4\n"
+    assert main(["basis-check", "--field", "q", "--system", grid22,
+                 "--monomials", "x1^99999999999,x1,x2,x1*x2", "--oracle"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
 
 
 def test_cli_basis_check_exit_codes(grid22, capsys):

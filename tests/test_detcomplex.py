@@ -85,7 +85,7 @@ def test_single_equation_complex_is_multiplication_map():
     val = decompose_ascending(c).delta
     d1 = c.differentials[0]
     keep = [i for i, be in enumerate(c.term_bases[0])]
-    assert len(keep) == d1.ncols
+    assert len(keep) == d1.nrows
     assert val == d1.det() or val == -d1.det()
 
 
@@ -158,8 +158,8 @@ def permutation_sign(perm) -> int:
 def permuted(c, perms):
     """c with term k's basis reordered: new element j is old perms[k][j]."""
     diffs = tuple(
-        Matrix(c.field, [[d.rows[i][j] for j in perms[k]] for i in perms[k - 1]],
-               ncols=len(perms[k]))
+        Matrix(c.field, [[d.rows[i][j] for j in perms[k - 1]] for i in perms[k]],
+               ncols=len(perms[k - 1]))
         for k, d in enumerate(c.differentials, start=1)
     )
     bases = tuple(tuple(b[i] for i in p) for b, p in zip(c.term_bases, perms))

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from monobasis import DegreeProfile, InputError, hilbert_H, hilbert_h, monomials_of_degree
+from monobasis.hilbert import required_cardinality
 
 
 def brute_h(degrees, tau):
@@ -43,6 +44,20 @@ def test_h_matches_brute_force_counting():
             p = DegreeProfile(degrees)
             for tau in range(p.rho + 3):
                 assert hilbert_h(p, tau) == brute_h(degrees, tau)
+
+
+def test_huge_tau_in_closed_form():
+    tau = 99999999999
+    for n in range(1, 4):
+        for degrees in itertools.product(range(1, 5), repeat=n):
+            p = DegreeProfile(degrees)
+            assert hilbert_h(p, tau) == 0
+            assert hilbert_H(p, tau) == p.bezout
+    # one cubic in three variables: the degree-t forms modulo its multiples
+    for t in (0, 2, 3, 7, tau):
+        expected = math.comb(t + 2, 2) - (math.comb(t - 1, 2) if t >= 3 else 0)
+        assert required_cardinality((3,), 3, t) == expected
+    assert required_cardinality((2, 2), 3, -1) == 0
 
 
 def test_H_is_partial_sum_of_h():

@@ -1,4 +1,5 @@
-"""Structural checks on the graded complexes: dimensions, d∘d = 0, Euler char."""
+"""Structural checks on the graded complexes: dimensions, d∘d = 0, Euler
+char, and the layout of the maps, whose first is Macaulay's matrix."""
 import itertools
 import random
 
@@ -12,9 +13,12 @@ from monobasis import (
     MultiPoly,
     PolySystem,
     build_complex,
+    m0_set,
     monomials_of_degree,
 )
 from monobasis.hilbert import DegreeProfile
+from monobasis.koszul import koszul_map
+from monobasis.resultants import macaulay_matrix
 
 from conftest import random_system
 
@@ -53,7 +57,7 @@ def test_differentials_compose_to_zero():
         for k in range(2, c.s + 1):
             dk = c.differentials[k - 1]
             dk1 = c.differentials[k - 2]
-            assert (dk1 @ dk).is_zero()
+            assert (dk @ dk1).is_zero()
 
 
 def test_projection_stage_drops_selected_monomials():
@@ -97,3 +101,52 @@ def test_input_validation():
     if not all(f.is_homogeneous_of(d) for f, d in zip(affine.polys, affine.degrees)):
         with pytest.raises(InputError):
             build_complex(affine, 3, [])
+
+
+def affine_draw(rng, field, degrees, terms_per_degree):
+    """f_i = x_i^{d_i} plus, in each degree up to d_i, ``terms_per_degree``
+    random monomials (all of them when None) with coefficients in -3..3."""
+    n = len(degrees)
+    polys = []
+    for i, d in enumerate(degrees):
+        terms = {}
+        for e in range(d + 1):
+            monos = monomials_of_degree(n, e)
+            if terms_per_degree is not None:
+                monos = rng.sample(monos, min(terms_per_degree, len(monos)))
+            for m in monos:
+                terms[m] = field.of(rng.choice((-3, -2, -1, 1, 2, 3)))
+        terms[tuple(d if j == i else 0 for j in range(n))] = field.one
+        polys.append(MultiPoly(field, n, terms))
+    return PolySystem(polys, tuple(degrees))
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=["Q", "F101"])
+def test_first_differential_is_the_macaulay_matrix(field):
+    """Every map has one row per source element; so the first one is
+    Macaulay's matrix on the degree-t monomials outside S, entry for entry."""
+    rng = random.Random(23)
+    for degrees in ((2, 2), (3, 2), (2, 2, 2)):
+        for terms_per_degree in (None, 1):
+            draw = affine_draw(rng, field, degrees, terms_per_degree)
+            rho = sum(degrees) - len(degrees)
+            M = m0_set(degrees)
+            hom = draw.homogenized()
+            for sys_, t, S in (
+                (draw.leading_forms(), rho + 1, []),
+                (hom, rho + 1, []),
+                (hom, M.delta, M.homogenized_at(M.delta)),
+            ):
+                c = build_complex(sys_, t, S)
+                outside = [m for m in monomials_of_degree(sys_.nvars, t) if m not in S]
+                d1 = c.differentials[0]
+                assert (d1.nrows, d1.ncols) == (c.dims()[1], c.dims()[0])
+                assert d1 == macaulay_matrix(sys_, outside)
+
+
+def test_a_missing_target_of_a_higher_map_is_a_bug():
+    sys_ = homog_random(random.Random(3), F101, (2, 2))
+    c = build_complex(sys_, 4, [])
+    assert koszul_map(sys_, c.term_bases[2], c.term_bases[1]) == c.differentials[1]
+    with pytest.raises(AssertionError, match="differential target missing"):
+        koszul_map(sys_, c.term_bases[2], c.term_bases[1][1:])

@@ -32,6 +32,13 @@ def test_monomials_of_degree_count():
             assert len(monomials_of_degree(v, d)) == math.comb(d + v - 1, v - 1)
 
 
+def test_monomials_of_degree_rejects_a_count_no_list_can_hold():
+    # C(d + 2, 2) > sys.maxsize for d = 10^11 - 1 in three variables
+    with pytest.raises(InputError):
+        monomials_of_degree(3, 99999999999)
+    assert len(monomials_of_degree(1, 99999999999)) == 1
+
+
 def test_mono_key_orders_by_degree_then_lex_on_first_variable():
     ms = sorted([(0, 2), (1, 1), (2, 0), (0, 0), (1, 0)], key=mono_key)
     assert ms == [(0, 0), (1, 0), (2, 0), (1, 1), (0, 2)]
