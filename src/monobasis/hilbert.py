@@ -42,14 +42,17 @@ class DegreeProfile:
 def required_cardinality(degrees, nvars: int, t: int) -> int:
     """#S needed for the degree-t complex C_t(S) in ``nvars`` variables:
     sum_e c_e * C(t - e + nvars - 1, nvars - 1) for c_e the coefficients of
-    prod(1 - T^{d_j}), so sum(d_j) + 1 terms whatever t is."""
-    coeffs = [1] + [0] * sum(degrees)
+    prod(1 - T^{d_j}) up to T^t, kept sparse: at most min(2^n, t + 1) terms
+    however large t and the d_j are."""
+    if t < 0:
+        return 0
+    coeffs = {0: 1}
     for d in degrees:
-        for k in range(len(coeffs) - 1, d - 1, -1):
-            coeffs[k] -= coeffs[k - d]
-    return sum(
-        c * comb(t - e + nvars - 1, nvars - 1) for e, c in enumerate(coeffs) if e <= t
-    )
+        # each exponent e + d is updated once, from the old c_e
+        for e, c in list(coeffs.items()):
+            if e + d <= t:
+                coeffs[e + d] = coeffs.get(e + d, 0) - c
+    return sum(c * comb(t - e + nvars - 1, nvars - 1) for e, c in coeffs.items())
 
 
 def hilbert_H(profile: DegreeProfile, tau: int) -> int:

@@ -28,13 +28,21 @@ def mono_key(m: Monomial):
 
 
 def monomials_of_degree(nvars: int, d: int) -> list:
-    """All monomials of total degree d in nvars variables, in fixed order."""
+    """All monomials of total degree d in nvars variables, in fixed order.
+
+    Every caller lays them out along one side of a dense matrix with about
+    as many entries on the other side (a Macaulay matrix or a Koszul
+    differential), so a count N with N * N > sys.maxsize is refused before
+    anything is listed: no 64-bit address space holds that many entries.
+    """
     if d < 0:
         return []
     if nvars < 1:
         raise InputError("need at least one variable")
-    if math.comb(d + nvars - 1, nvars - 1) > sys.maxsize:
-        raise InputError(f"too many monomials of degree {d} in {nvars} variables to list")
+    if math.comb(d + nvars - 1, nvars - 1) ** 2 > sys.maxsize:
+        raise InputError(
+            f"too many monomials of degree {d} in {nvars} variables for a dense matrix"
+        )
 
     def gen(rest, deg):
         if rest == 1:

@@ -115,10 +115,20 @@ def test_cli_hilbert(capsys):
 def test_cli_huge_exponents(grid22, capsys):
     assert main(["hilbert", "--degrees", "2,2", "--tau", "99999999999"]) == 0
     assert capsys.readouterr().out == "H=4 h=0 rho=2 d=4\n"
+    assert main(["hilbert", "--degrees", "99999999999", "--tau", "2"]) == 0
+    assert capsys.readouterr().out == "H=3 h=1 rho=99999999998 d=99999999999\n"
+    assert main(["hilbert", "--degrees", "2,1000000000", "--tau", "99999999999"]) == 0
+    assert capsys.readouterr().out == "H=2000000000 h=0 rho=1000000000 d=2000000000\n"
     assert main(["basis-check", "--field", "q", "--system", grid22,
                  "--monomials", "x1^99999999999,x1,x2,x1*x2", "--oracle"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
+    # far below sys.maxsize monomials, but too many for a dense matrix
+    for e in (10**9, 99999):
+        assert main(["basis-check", "--field", "q", "--system", grid22,
+                     "--monomials", f"x1^{e},x1,x2,x1*x2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
 
 
 def test_cli_basis_check_exit_codes(grid22, capsys):

@@ -60,6 +60,19 @@ def test_huge_tau_in_closed_form():
     assert required_cardinality((2, 2), 3, -1) == 0
 
 
+def test_huge_degree_with_small_tau():
+    # a degree above tau cuts nothing in degree tau, so it counts as tau + 1
+    huge = 99999999999
+    for degrees in [(huge,), (2, huge), (huge, 3, huge)]:
+        p = DegreeProfile(degrees)
+        for tau in range(5):
+            small = [min(d, tau + 1) for d in degrees]
+            assert hilbert_h(p, tau) == brute_h(small, tau)
+            assert hilbert_H(p, tau) == sum(brute_h(small, k) for k in range(tau + 1))
+    # huge degrees and huge tau together: H = d_1 * d_2 past rho
+    assert hilbert_H(DegreeProfile((2, 10**9)), huge) == 2 * 10**9
+
+
 def test_H_is_partial_sum_of_h():
     for degrees in [(2,), (3, 2), (2, 2, 2), (3, 3, 3), (4, 4)]:
         p = DegreeProfile(degrees)

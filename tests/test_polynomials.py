@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -32,10 +33,14 @@ def test_monomials_of_degree_count():
             assert len(monomials_of_degree(v, d)) == math.comb(d + v - 1, v - 1)
 
 
-def test_monomials_of_degree_rejects_a_count_no_list_can_hold():
-    # C(d + 2, 2) > sys.maxsize for d = 10^11 - 1 in three variables
+def test_monomials_of_degree_rejects_a_count_no_dense_matrix_can_hold():
+    # C(d + 2, 2) ** 2 > sys.maxsize from d = 77935 on in three variables
+    for d in (77935, 99999, 10**9, 99999999999):
+        with pytest.raises(InputError):
+            monomials_of_degree(3, d)
+    # (d + 1) ** 2 > sys.maxsize from d = isqrt(sys.maxsize) on in two
     with pytest.raises(InputError):
-        monomials_of_degree(3, 99999999999)
+        monomials_of_degree(2, math.isqrt(sys.maxsize))
     assert len(monomials_of_degree(1, 99999999999)) == 1
 
 
