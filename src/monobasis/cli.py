@@ -3,9 +3,16 @@
 Input grammar for polynomials: terms joined by `+`/`-`; a term is an
 optional coefficient (`int` or `int/int`), optionally followed by `*` and
 a monomial; a monomial is `x<k>` factors (each with an optional `^<e>`)
-joined by `*`.  Reports are line-oriented `key=value` with a stable key
-order; exit code 0 means success (or "is a basis"), 1 means a negative
-verdict or a failed identity, and 2 means bad usage or bad input.
+joined by `*`.
+
+`--field` (`q` or `fp:<p>`), `--system` (a system file, see
+`load_system`) and `--monomials` (a comma-separated monomial list) mean
+the same in every subcommand that takes them, and `main` reads them in
+that order, each against the ones before it.
+
+Reports are line-oriented `key=value` with a stable key order; exit code
+0 means success (or "is a basis"), 1 means a negative verdict or a failed
+identity, and 2 means bad usage or bad input.
 """
 from __future__ import annotations
 
@@ -33,22 +40,20 @@ from .subresultants import subresultant_delta
 
 __all__ = ["main", "parse_poly", "parse_monomial_list", "load_system"]
 
-_TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|(x\d+)|(\^)|(\*)|(\+)|(-)|(\S))")
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>\d+/\d+|\d+)|(?P<var>x\d+)|(?P<caret>\^)|(?P<star>\*)"
+    r"|(?P<plus>\+)|(?P<minus>-)|(?P<bad>\S))"
+)
 
 
 def _tokenize(text: str):
+    """(kind, text, position) for each token; kind is the name of its group."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            break
-        if m.group(7):
-            raise ParseError(f"unexpected character {m.group(7)!r}", m.start(7))
-        for kind, g in enumerate(m.groups()[:6]):
-            if g is not None:
-                tokens.append((("num", "var", "caret", "star", "plus", "minus")[kind], g, m.start(kind + 1)))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+        tokens.append((kind, m[kind], m.start(kind)))
     return tokens
 
 
@@ -57,13 +62,11 @@ def parse_poly(text: str, nvars: int, field) -> MultiPoly:
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty polynomial", 0)
-    poly = MultiPoly.zero(field, nvars)
+    terms = {}
     i = 0
-    first = True
     while i < len(tokens):
-        if not first and tokens[i][0] not in ("plus", "minus"):
+        if i and tokens[i][0] not in ("plus", "minus"):
             raise ParseError("terms must be joined by '+' or '-'", tokens[i][2])
-        first = False
         sign = 1
         while i < len(tokens) and tokens[i][0] in ("plus", "minus"):
             if tokens[i][0] == "minus":
@@ -73,7 +76,6 @@ def parse_poly(text: str, nvars: int, field) -> MultiPoly:
             raise ParseError("dangling sign", tokens[-1][2])
         coeff = field.one
         mono = [0] * nvars
-        saw_factor = False
         while True:
             kind, value, pos = tokens[i]
             if kind == "num":
@@ -94,7 +96,6 @@ def parse_poly(text: str, nvars: int, field) -> MultiPoly:
                 mono[k - 1] += e
             else:
                 raise ParseError(f"unexpected token {value!r}", pos)
-            saw_factor = True
             i += 1
             if i < len(tokens) and tokens[i][0] == "star":
                 i += 1
@@ -102,12 +103,9 @@ def parse_poly(text: str, nvars: int, field) -> MultiPoly:
                     raise ParseError("dangling '*'", tokens[-1][2])
                 continue
             break
-        if not saw_factor:
-            raise ParseError("empty term", tokens[i][2] if i < len(tokens) else 0)
-        if sign < 0:
-            coeff = -coeff
-        poly = poly + MultiPoly.monomial(field, tuple(mono), coeff)
-    return poly
+        mono = tuple(mono)
+        terms[mono] = terms.get(mono, field.zero) + (coeff if sign > 0 else -coeff)
+    return MultiPoly(field, nvars, terms)
 
 
 def parse_monomial_list(text: str, nvars: int, field) -> MonomialSet:
@@ -190,28 +188,22 @@ def _cmd_hilbert(args) -> int:
 
 
 def _cmd_resultant(args) -> int:
-    field = field_from_spec(args.field)
-    sys_ = load_system(args.system, field)
-    res = resultant_macaulay(sys_.leading_forms())
-    print(f"res={field.format(res)}")
+    res = resultant_macaulay(args.system.leading_forms())
+    print(f"res={args.field.format(res)}")
     return 0
 
 
 def _cmd_subresultant(args) -> int:
-    field = field_from_spec(args.field)
-    sys_ = load_system(args.system, field)
-    M = parse_monomial_list(args.monomials, sys_.nvars, field)
+    M = args.monomials
     t = M.delta if args.degree is None else args.degree
-    sub = subresultant_delta(sys_.homogenized(), t, M.homogenized_at(t))
+    sub = subresultant_delta(args.system.homogenized(), t, M.homogenized_at(t))
     print(f"t={t}")
-    print(f"delta={field.format(sub)}")
+    print(f"delta={args.field.format(sub)}")
     return 0
 
 
 def _cmd_basis_check(args) -> int:
-    field = field_from_spec(args.field)
-    sys_ = load_system(args.system, field)
-    M = parse_monomial_list(args.monomials, sys_.nvars, field)
+    field, sys_, M = args.field, args.system, args.monomials
     cert = certify_basis(sys_, M)
     print(f"res={field.format(cert.res_value)}")
     print(f"delta={field.format(cert.delta_value)}")
@@ -228,10 +220,8 @@ def _cmd_basis_check(args) -> int:
 
 
 def _cmd_factor(args) -> int:
-    field = field_from_spec(args.field)
-    sys_ = load_system(args.system, field)
-    M = parse_monomial_list(args.monomials, sys_.nvars, field)
-    report = factorize_delta(sys_.leading_forms(), M)
+    field = args.field
+    report = factorize_delta(args.system.leading_forms(), args.monomials)
     print(f"applicable={'yes' if report.applicable else 'no'}")
     for t, value in report.factors:
         print(f"factor.{t}={field.format(value)}")
@@ -241,7 +231,7 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_vandermonde(args) -> int:
-    field = field_from_spec(args.field)
+    field = args.field
     degrees = _degrees_arg(args.degrees)
     sys_, roots = power_system(field, degrees, [1] * len(degrees))
     if args.set == "m0":
@@ -264,27 +254,26 @@ def _cmd_vandermonde(args) -> int:
 
 
 def _cmd_upsilon(args) -> int:
-    field = field_from_spec(args.field)
-    sys_ = load_system(args.system, field)
+    sys_ = args.system
     if sys_.n != 2:
         raise InputError("upsilon is defined for bivariate systems only")
-    d1, d2 = sys_.degrees
-    if d1 > d2:
-        raise InputError("declare the lower degree first")
-    value = upsilon_bivariate(sys_.polys[0], sys_.polys[1], d1, d2)
-    print(f"upsilon={field.format(value)}")
+    value = upsilon_bivariate(*sys_.polys, *sys_.degrees)
+    print(f"upsilon={args.field.format(value)}")
     return 0
 
 
 def _cmd_mulmat(args) -> int:
-    field = field_from_spec(args.field)
-    sys_ = load_system(args.system, field)
-    M = parse_monomial_list(args.monomials, sys_.nvars, field)
-    g = parse_poly(args.g, sys_.nvars, field)
-    mm = multiplication_matrix(sys_, M, g)
+    g = parse_poly(args.g, args.system.nvars, args.field)
+    mm = multiplication_matrix(args.system, args.monomials, g)
     print(f"kernel_dim={mm.kernel_dim}")
-    print(f"det={field.format(mm.det())}")
+    print(f"det={args.field.format(mm.det())}")
     return 0
+
+
+def _required(flag: str) -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(flag, required=True)
+    return parent
 
 
 @functools.cache
@@ -294,56 +283,46 @@ def _build_parser() -> argparse.ArgumentParser:
         description="certify monomial bases of zero-dimensional quotient algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    takes_field = [_required("--field")]
+    takes_system = takes_field + [_required("--system")]
+    takes_monomials = takes_system + [_required("--monomials")]
 
     p = sub.add_parser("hilbert", help="Hilbert function values for a degree profile")
     p.add_argument("--degrees", required=True)
     p.add_argument("--tau", type=int, required=True)
     p.set_defaults(func=_cmd_hilbert)
 
-    p = sub.add_parser("resultant", help="resultant of the leading forms")
-    p.add_argument("--field", required=True)
-    p.add_argument("--system", required=True)
+    p = sub.add_parser("resultant", parents=takes_system,
+                       help="resultant of the leading forms")
     p.set_defaults(func=_cmd_resultant)
 
-    p = sub.add_parser("subresultant", help="subresultant of the homogenized system")
-    p.add_argument("--field", required=True)
-    p.add_argument("--system", required=True)
-    p.add_argument("--monomials", required=True)
+    p = sub.add_parser("subresultant", parents=takes_monomials,
+                       help="subresultant of the homogenized system")
     p.add_argument("--degree", type=int, default=None)
     p.set_defaults(func=_cmd_subresultant)
 
-    p = sub.add_parser("basis-check", help="certify a candidate monomial basis")
-    p.add_argument("--field", required=True)
-    p.add_argument("--system", required=True)
-    p.add_argument("--monomials", required=True)
+    p = sub.add_parser("basis-check", parents=takes_monomials,
+                       help="certify a candidate monomial basis")
     p.add_argument("--oracle", action="store_true")
     p.set_defaults(func=_cmd_basis_check)
 
-    p = sub.add_parser("factor", help="factor the certificate into degree slices")
-    p.add_argument("--field", required=True)
-    p.add_argument("--system", required=True)
-    p.add_argument("--monomials", required=True)
+    p = sub.add_parser("factor", parents=takes_monomials,
+                       help="factor the certificate into degree slices")
     p.set_defaults(func=_cmd_factor)
 
-    p = sub.add_parser(
-        "vandermonde-verify",
-        help="check the Vandermonde identity on a roots-of-unity system",
-    )
+    p = sub.add_parser("vandermonde-verify", parents=takes_field,
+                       help="check the Vandermonde identity on a roots-of-unity system")
     p.add_argument("--degrees", required=True)
-    p.add_argument("--field", required=True)
     p.add_argument("--set", choices=("m0", "custom"), default="m0")
     p.add_argument("--monomials", default=None)
     p.set_defaults(func=_cmd_vandermonde)
 
-    p = sub.add_parser("upsilon", help="closed-form bivariate Vandermonde quotient")
-    p.add_argument("--field", required=True)
-    p.add_argument("--system", required=True)
+    p = sub.add_parser("upsilon", parents=takes_system,
+                       help="closed-form bivariate Vandermonde quotient")
     p.set_defaults(func=_cmd_upsilon)
 
-    p = sub.add_parser("mulmat", help="multiplication matrix in a certified basis")
-    p.add_argument("--field", required=True)
-    p.add_argument("--system", required=True)
-    p.add_argument("--monomials", required=True)
+    p = sub.add_parser("mulmat", parents=takes_monomials,
+                       help="multiplication matrix in a certified basis")
     p.add_argument("--g", required=True)
     p.set_defaults(func=_cmd_mulmat)
     return parser
@@ -356,6 +335,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
+        # the inputs every subcommand shares, read in this order; the
+        # optional --monomials of vandermonde-verify has no system and is
+        # read against --degrees by the subcommand
+        if "field" in args:
+            args.field = field_from_spec(args.field)
+        if "system" in args:
+            args.system = load_system(args.system, args.field)
+            if "monomials" in args:
+                args.monomials = parse_monomial_list(args.monomials, args.system.nvars, args.field)
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -28,7 +28,8 @@ def mono_key(m: Monomial):
 
 
 def monomials_of_degree(nvars: int, d: int) -> list:
-    """All monomials of total degree d in nvars variables, in fixed order.
+    """All monomials of total degree d in nvars variables, in ``mono_key``
+    order, which the recursion below yields as it goes.
 
     Every caller lays them out along one side of a dense matrix with about
     as many entries on the other side (a Macaulay matrix or a Koszul
@@ -52,7 +53,7 @@ def monomials_of_degree(nvars: int, d: int) -> list:
             for tail in gen(rest - 1, deg - e):
                 yield (e,) + tail
 
-    return sorted(gen(nvars, d), key=mono_key)
+    return list(gen(nvars, d))
 
 
 class MultiPoly:

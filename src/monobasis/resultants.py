@@ -76,23 +76,15 @@ def resultant_macaulay(forms: PolySystem):
     return value if _diagonal_sign(forms.degrees) == 1 else -value
 
 
-def _univariate_coeffs(f: MultiPoly, d: int) -> list:
-    """Coefficients c_0..c_d of a declared-degree-d polynomial in one
-    variable, or of a binary form (coefficient of x1^k x2^(d-k))."""
-    field = f.field
-    coeffs = [field.zero] * (d + 1)
-    if f.nvars == 1:
-        if f.degree > d:
-            raise InputError("degree above declared bound")
-        for (e,), c in f.terms.items():
-            coeffs[e] = c
-    elif f.nvars == 2:
-        if f.terms and not f.is_homogeneous_of(d):
-            raise InputError("binary input must be homogeneous of the declared degree")
-        for (e1, _), c in f.terms.items():
-            coeffs[e1] = c
-    else:
-        raise ShapeError("expected a univariate polynomial or binary form")
+def _binary_coeffs(f: MultiPoly, d: int) -> list:
+    """Coefficients c_0..c_d of a binary form of degree d, c_k that of x1^k x2^(d-k)."""
+    if f.nvars != 2:
+        raise ShapeError("expected a binary form")
+    if f.terms and not f.is_homogeneous_of(d):
+        raise InputError("binary input must be homogeneous of the declared degree")
+    coeffs = [f.field.zero] * (d + 1)
+    for (e1, _), c in f.terms.items():
+        coeffs[e1] = c
     return coeffs
 
 
@@ -111,21 +103,22 @@ def _sylvester_like(field, fc, gc, d1, d2, k):
 
 
 def sylvester_resultant(f: MultiPoly, g: MultiPoly, d1: int, d2: int):
-    """Determinant of the (d1+d2) x (d1+d2) Sylvester matrix."""
+    """Determinant of the (d1+d2) x (d1+d2) Sylvester matrix of two binary forms."""
     if d1 < 1 or d2 < 1:
         raise InputError("declared degrees must be at least 1")
-    fc = _univariate_coeffs(f, d1)
-    gc = _univariate_coeffs(g, d2)
+    fc = _binary_coeffs(f, d1)
+    gc = _binary_coeffs(g, d2)
     rows = _sylvester_like(f.field, fc, gc, d1, d2, 0)
     return Matrix(f.field, rows, ncols=d1 + d2).det()
 
 
 def classical_subresultants(f: MultiPoly, g: MultiPoly, d1: int, d2: int) -> dict:
-    """{k: R_k} for k = 1..d1-1 as Sylvester-submatrix determinants (d1 <= d2)."""
+    """{k: R_k} for k = 1..d1-1 of two binary forms, as Sylvester-submatrix
+    determinants (d1 <= d2)."""
     if not 1 <= d1 <= d2:
         raise InputError("need 1 <= d1 <= d2")
-    fc = _univariate_coeffs(f, d1)
-    gc = _univariate_coeffs(g, d2)
+    fc = _binary_coeffs(f, d1)
+    gc = _binary_coeffs(g, d2)
     values = {}
     for k in range(1, d1):
         rows = _sylvester_like(f.field, fc, gc, d1, d2, k)

@@ -59,10 +59,10 @@ def roots_of_unity(field, d: int) -> list:
             return [field.one]
         if d == 2:
             return [field.one, -field.one]
-        raise InputError(f"Q has no primitive {d}-th root of unity")
+        raise InputError(f"Q has no primitive root of unity of order {d}")
     if isinstance(field, PrimeField):
         if (field.p - 1) % d != 0:
-            raise InputError(f"F_{field.p} has no primitive {d}-th root of unity")
+            raise InputError(f"F_{field.p} has no primitive root of unity of order {d}")
         zeta = field.of(pow(primitive_root(field.p), (field.p - 1) // d, field.p))
         return [zeta**k for k in range(d)]
     raise InputError("unsupported field")

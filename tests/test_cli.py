@@ -40,7 +40,7 @@ def test_parse_reports_position():
 
 
 def test_parse_rejects_garbage():
-    for text in ["", "x1 +", "* x1", "x1^", "x1^1/2", "2 2"]:
+    for text in ["", "x1 +", "* x1", "x1^", "x1^1/2", "2 2", "x1*"]:
         with pytest.raises(ParseError):
             if text == "2 2":
                 # two numbers with no operator: second token is unexpected
@@ -202,17 +202,28 @@ def test_cli_malformed_degrees_header(tmp_path, capsys, header):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_cli_parser_is_built_once_and_keeps_no_state(monkeypatch, capsys):
-    """After a usage error, each call prints what a fresh process prints."""
+def test_cli_parser_is_built_once_and_keeps_no_state(grid22, monkeypatch, capsys):
+    """After a usage error, each call prints what a fresh process prints;
+    so does every subcommand that reads its inputs in ``main``."""
     assert _build_parser() is _build_parser()
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
     monkeypatch.setenv("PYTHONPATH", os.path.dirname(os.path.dirname(monobasis.__file__)))
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+    inputs = ["--field", "q", "--system", grid22]
+    grid_basis = ["--monomials", "1,x1,x2,x1*x2"]
     for argv in (
         ["hilbert", "--degrees", "2,2,2", "--tau", "3"],
         ["basis-check", "--field", "q"],
         ["hilbert", "--degrees", "2,3", "--tau", "2"],
+        ["resultant", *inputs],
+        ["subresultant", *inputs, *grid_basis, "--degree", "3"],
+        ["basis-check", *inputs, *grid_basis, "--oracle"],
+        ["factor", *inputs, *grid_basis],
+        ["upsilon", *inputs],
+        ["mulmat", *inputs, *grid_basis, "--g", "x1 + 2*x2"],
+        ["vandermonde-verify", "--degrees", "2,2", "--field", "fp:13",
+         "--set", "custom", "--monomials", "1,x1,x2,x1*x2"],
     ):
         code = main(argv)
         out, err = capsys.readouterr()
@@ -241,6 +252,31 @@ def test_cli_vandermonde(capsys):
     out = capsys.readouterr().out
     assert "residual=0" in out
     assert "exact_sign=yes" in out
+    # over Q only the roots of unity of orders 1 and 2 exist
+    assert main(["vandermonde-verify", "--degrees", "1,2", "--field", "q"]) == 0
+    assert capsys.readouterr().out.split() == [
+        "det=-2", "jacobian=-4", "res=1", "delta=1", "t=1", "sign=-1",
+        "residual=0", "exact_sign=yes",
+    ]
+    assert main(["vandermonde-verify", "--degrees", "3,2", "--field", "q"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    custom = ["vandermonde-verify", "--degrees", "2,2", "--field", "fp:13", "--set", "custom"]
+    assert main([*custom, "--monomials", "1,x1,x2,x1*x2"]) == 0
+    out = capsys.readouterr().out
+    assert "residual=0" in out and "t=2" in out
+    assert main(custom) == 2
+    assert capsys.readouterr().err == "error: --set custom requires --monomials\n"
+
+
+def test_cli_system_with_an_identically_zero_polynomial(tmp_path, capsys):
+    path = tmp_path / "sys.txt"
+    for zero in ("0", "x1 - x1"):
+        path.write_text(f"degrees: 2,2\nx1^2 - 1\n{zero}\n")
+        assert main(["basis-check", "--field", "q", "--system", str(path),
+                     "--monomials", "1,x1,x2,x1*x2", "--oracle"]) == 1
+        assert capsys.readouterr().out.split() == [
+            "res=0", "delta=0", "t=2", "product=0", "verdict=not-basis", "oracle=agree",
+        ]
 
 
 def test_cli_factor_and_mulmat(grid22, capsys):
@@ -251,6 +287,11 @@ def test_cli_factor_and_mulmat(grid22, capsys):
                  "--monomials", "1,x1,x2,x1*x2", "--g", "x1"]) == 0
     out = capsys.readouterr().out
     assert "kernel_dim=0" in out and "det=1" in out
+    # g = 0: every basis element maps to zero
+    for g in ("0", "x1 - x1"):
+        assert main(["mulmat", "--field", "q", "--system", grid22,
+                     "--monomials", "1,x1,x2,x1*x2", "--g", g]) == 0
+        assert capsys.readouterr().out.split() == ["kernel_dim=4", "det=0"]
 
 
 def test_cli_upsilon(tmp_path, capsys):
@@ -260,6 +301,10 @@ def test_cli_upsilon(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("upsilon=")
+    # the closed form needs the lower degree first
+    path.write_text("degrees: 3,2\nx2^3 + x1\nx1^2 + x2 - 1\n")
+    assert main(["upsilon", "--field", "q", "--system", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 # Exact basis-check values on fixed dense systems.  The delta= value is the

@@ -30,7 +30,9 @@ def test_monomials_of_degree_count():
     # number of degree-d monomials in v variables is C(d+v-1, v-1)
     for v in range(1, 5):
         for d in range(6):
-            assert len(monomials_of_degree(v, d)) == math.comb(d + v - 1, v - 1)
+            monos = monomials_of_degree(v, d)
+            assert len(monos) == math.comb(d + v - 1, v - 1)
+            assert monos == sorted(monos, key=mono_key)
 
 
 def test_monomials_of_degree_rejects_a_count_no_dense_matrix_can_hold():
