@@ -56,7 +56,6 @@ from .resultants import (
 from .rootsystems import (
     linear_transform,
     power_system,
-    primitive_root,
     roots_of_unity,
     transform_roots,
 )

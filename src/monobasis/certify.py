@@ -170,8 +170,6 @@ def sign_constant(profile: DegreeProfile) -> int:
 
 @dataclass(frozen=True)
 class VandermondeReport:
-    roots: tuple
-    matrix: Matrix
     det_value: object
     jacobian_product: object
     sign_const: int
@@ -209,12 +207,11 @@ def vandermonde_verify(sys: PolySystem, roots, M: MonomialSet) -> VandermondeRep
     if len(set(roots)) != len(roots):
         raise InputError("repeated roots: the identity needs distinct roots")
 
-    cols = list(M)
     grid = [
-        [MultiPoly.monomial(field, m).evaluate(pt) for m in cols] for pt in roots
+        [math.prod((x**e for x, e in zip(pt, m)), start=field.one) for m in M]
+        for pt in roots
     ]
-    mat = Matrix(field, grid, ncols=len(cols))
-    det_value = mat.det()
+    det_value = Matrix(field, grid, ncols=len(M)).det()
 
     jac = sys.jacobian()
     jprod = field.one
@@ -237,12 +234,8 @@ def vandermonde_verify(sys: PolySystem, roots, M: MonomialSet) -> VandermondeRep
         matched, residual = None, lhs - rhs
 
     c = sign_constant(profile)
-    disp_exact = None
-    if set(M) == set(m0_set(profile.degrees)):
-        disp_exact = lhs == c * rhs if c == -1 else lhs == rhs
+    disp_exact = lhs == c * rhs if set(M) == set(m0_set(profile.degrees)) else None
     return VandermondeReport(
-        roots=tuple(roots),
-        matrix=mat,
         det_value=det_value,
         jacobian_product=jprod,
         sign_const=c,

@@ -83,6 +83,8 @@ def parse_poly(text: str, nvars: int, field) -> MultiPoly:
                     coeff = coeff * field.of(Fraction(value))
                 except ZeroDivisionError:
                     raise ParseError(f"zero denominator in {value}", pos) from None
+                except InputError as exc:  # no value in F_p
+                    raise ParseError(str(exc), pos) from None
             elif kind == "var":
                 k = int(value[1:])
                 if not 1 <= k <= nvars:
@@ -235,6 +237,8 @@ def _cmd_vandermonde(args) -> int:
     degrees = _degrees_arg(args.degrees)
     sys_, roots = power_system(field, degrees, [1] * len(degrees))
     if args.set == "m0":
+        if args.monomials is not None:
+            raise InputError("--monomials requires --set custom")
         M = m0_set(degrees)
     else:
         if not args.monomials:

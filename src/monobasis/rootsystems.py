@@ -9,49 +9,30 @@ these systems good stress inputs for the certification identities.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+import sys
 
 from .errors import InputError, ShapeError
-from .fields import PrimeField, RationalField, is_prime
+from .fields import PrimeField, RationalField
 from .linalg import Matrix
 from .polynomials import MultiPoly, PolySystem
 
 __all__ = [
     "linear_transform",
     "power_system",
-    "primitive_root",
     "roots_of_unity",
     "transform_roots",
 ]
 
 
-@functools.lru_cache(maxsize=32)
-def primitive_root(p: int) -> int:
-    """Smallest generator of the multiplicative group of F_p."""
-    if p == 2:
-        return 1
-    factors = set()
-    m = p - 1
-    d = 2
-    # trial division only until the cofactor is prime
-    while m > 1 and not is_prime(m):
-        while m % d:
-            d += 1
-        factors.add(d)
-        while m % d == 0:
-            m //= d
-    if m > 1:
-        factors.add(m)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
-            return g
-    raise InputError(f"{p} does not look prime")
-
-
 def roots_of_unity(field, d: int) -> list:
-    """All d-th roots of unity in the field, or InputError if fewer than d."""
+    """All d-th roots of unity in the field, or InputError if fewer than d.
+
+    Over F_p they are zeta^0, ..., zeta^(d-1), where zeta = a^((p-1)/d) for
+    the smallest a = 2, 3, ... whose d powers are pairwise distinct, so that
+    zeta has order exactly d.
+    """
     if d < 1:
         raise InputError("order must be positive")
     if isinstance(field, RationalField):
@@ -63,8 +44,11 @@ def roots_of_unity(field, d: int) -> list:
     if isinstance(field, PrimeField):
         if (field.p - 1) % d != 0:
             raise InputError(f"F_{field.p} has no primitive root of unity of order {d}")
-        zeta = field.of(pow(primitive_root(field.p), (field.p - 1) // d, field.p))
-        return [zeta**k for k in range(d)]
+        for a in itertools.count(2):
+            zeta = field.of(pow(a, (field.p - 1) // d, field.p))
+            powers = [zeta**k for k in range(d)]
+            if len(set(powers)) == d:
+                return powers
     raise InputError("unsupported field")
 
 
@@ -77,6 +61,11 @@ def power_system(field, degrees, shifts) -> tuple:
     """
     degrees = tuple(int(d) for d in degrees)
     n = len(degrees)
+    # the roots become the rows of a square grid (see vandermonde_verify);
+    # refuse a count no address space holds, as monomials_of_degree does
+    bezout = math.prod(degrees)
+    if bezout**2 > sys.maxsize:
+        raise InputError(f"too many roots ({bezout}) for a dense grid")
     if len(shifts) != n:
         raise ShapeError("one shift per equation required")
     shifts = [field.of(b) for b in shifts]
@@ -93,7 +82,7 @@ def power_system(field, degrees, shifts) -> tuple:
         [b * z for z in roots_of_unity(field, d)] for d, b in zip(degrees, shifts)
     ]
     roots = [tuple(pt) for pt in itertools.product(*axis_roots)]
-    assert len(set(roots)) == math.prod(degrees)
+    assert len(set(roots)) == bezout
     return PolySystem(polys, degrees), roots
 
 

@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -177,6 +178,23 @@ def test_cli_usage_and_input_errors(grid22, tmp_path, capsys):
     binary.write_bytes(b"degrees: 2\n\xff\xfe x1^2\n")
     assert main(["resultant", "--field", "q", "--system", str(binary)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    path = tmp_path / "sys.txt"
+    for text in (
+        "x1^2 - 1\nx2^2 - 1\n",  # no degrees header
+        "# only a comment\n\n",
+        "degrees: 2,2\nx1^2 - 1\n",  # fewer polynomials than declared
+    ):
+        path.write_text(text)
+        assert main(["resultant", "--field", "q", "--system", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:"), text
+    path.write_text("degrees: 2,2,2\nx1^2 - 1\nx2^2 - 1\nx3^2 - 1\n")
+    for argv in (
+        ["resultant", "--field", "fp:abc", "--system", grid22],
+        ["vandermonde-verify", "--degrees", "3", "--field", "fp:11"],  # no cube roots of 1
+        ["upsilon", "--field", "q", "--system", str(path)],  # three variables
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:"), argv
 
 
 def test_zero_denominator_is_a_parse_error(grid22, tmp_path, capsys):
@@ -188,6 +206,12 @@ def test_zero_denominator_is_a_parse_error(grid22, tmp_path, capsys):
     assert main(["basis-check", "--field", "q", "--system", str(path),
                  "--monomials", "1,x1,x2,x1*x2"]) == 2
     assert capsys.readouterr().err.startswith("parse error:")
+    # a coefficient with no value in F_13 is placed like any other bad term
+    path.write_text("degrees: 2,2\nx1^2 - 1/13\nx2^2 - 1\n")
+    assert main(["resultant", "--field", "fp:13", "--system", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"parse error: {path}, line 2: denominator not invertible modulo 13 (at position 7)\n"
+    )
     for g in ("1/0*x1", "x1 + 3/00"):
         assert main(["mulmat", "--field", "fp:101", "--system", grid22,
                      "--monomials", "1,x1,x2,x1*x2", "--g", g]) == 2
@@ -266,6 +290,35 @@ def test_cli_vandermonde(capsys):
     assert "residual=0" in out and "t=2" in out
     assert main(custom) == 2
     assert capsys.readouterr().err == "error: --set custom requires --monomials\n"
+    # an explicit --monomials is never dropped: it needs --set custom
+    m0 = ["vandermonde-verify", "--degrees", "2,2", "--field", "fp:13"]
+    for argv in ([*m0, "--monomials", "1,x9,garbage"],
+                 [*m0, "--set", "m0", "--monomials", "1,x1,x2,x1*x2"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --monomials requires --set custom\n"
+    # each variable's roots are zeta^0..zeta^(d-1) with zeta = 2^2 = 4 of order 3
+    assert main(["vandermonde-verify", "--degrees", "3", "--field", "fp:7"]) == 0
+    assert capsys.readouterr().out.split()[0] == "det=1"
+
+
+def test_cli_vandermonde_needs_no_factoring_of_p_minus_1(capsys):
+    # p - 1 = 2 * 691183853 * 741616741: finding a generator of F_p^x by
+    # trial division of p - 1 takes most of a minute
+    start = time.perf_counter()
+    assert main(["vandermonde-verify", "--degrees", "2,2",
+                 "--field", "fp:1025187032987366147"]) == 0
+    assert time.perf_counter() - start < 5
+    assert "residual=0" in capsys.readouterr().out
+
+
+def test_cli_vandermonde_refuses_a_root_grid_too_large_to_hold(capsys):
+    # 172472412199 divides p - 1, so the roots exist; their grid would not fit
+    assert main(["vandermonde-verify", "--degrees", "172472412199",
+                 "--field", "fp:17592186044299"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
 
 
 def test_cli_system_with_an_identically_zero_polynomial(tmp_path, capsys):

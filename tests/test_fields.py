@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from monobasis import GF, QQ, FpElement, InputError, field_from_spec, primitive_root
+from monobasis import GF, QQ, FpElement, InputError, field_from_spec, roots_of_unity
 from monobasis.fields import is_prime
 
 
@@ -71,25 +71,23 @@ def test_int_coercion_in_operators():
     assert isinstance(F.of(3) / 2, FpElement)
 
 
-@pytest.mark.parametrize(
-    "p, factors",
-    [
-        (2**62 - 57, (2, 3, 1289, 198762435067123)),  # p - 1 = 2 * 3^2 * 1289 * q
-        (101, (2, 5)),
-        (13, (2, 3)),
-    ],
-)
-def test_primitive_root_is_smallest_generator(p, factors):
-    m = p - 1
-    for q in factors:
-        assert is_prime(q) and m % q == 0
-        while m % q == 0:
-            m //= q
-    assert m == 1
+def has_order(w, d, p):
+    """w has multiplicative order exactly d, decided by the prime factors of d."""
+    primes = [q for q in range(2, d + 1) if d % q == 0 and is_prime(q)]
+    return pow(w, d, p) == 1 and all(pow(w, d // q, p) != 1 for q in primes)
 
-    def generates(g):
-        return all(pow(g, (p - 1) // q, p) != 1 for q in factors)
 
-    g = primitive_root(p)
-    assert generates(g)
-    assert not any(generates(h) for h in range(2, g))
+def test_roots_of_unity_over_small_primes():
+    for p in filter(is_prime, range(3, 200)):
+        F = GF(p)
+        for d in (d for d in range(1, 13) if (p - 1) % d == 0):
+            roots = roots_of_unity(F, d)
+            assert len(roots) == d and len(set(roots)) == d, (p, d)
+            assert roots[0] == F.one and all(x**d == F.one for x in roots), (p, d)
+            if d > 1:
+                a = next(a for a in range(2, p) if has_order(pow(a, (p - 1) // d, p), d, p))
+                assert roots[1] == F.of(pow(a, (p - 1) // d, p)), (p, d)
+    # a = 2 gives zeta = 2^2 = 4 of order 3, although 3 is the smallest generator of F_7^x
+    assert roots_of_unity(GF(7), 3) == [GF(7).of(1), GF(7).of(4), GF(7).of(2)]
+    with pytest.raises(InputError):
+        roots_of_unity(GF(11), 3)
