@@ -302,37 +302,34 @@ def multiplication_matrix(
 ) -> MultiplicationMatrix:
     """Matrix of p -> p*g on the quotient, in the certified basis M.
 
-    Reduction solves the graded linear system [ideal generators | M_t]
-    at a degree high enough to contain every product m_j * g; the basis
-    certificate guarantees the M-coordinates are unique.
+    At a degree t that holds every product m_j * g, the Macaulay matrix
+    G_O of the homogenized system onto the degree-t monomials O outside M_t
+    has full column rank exactly when M is a basis (``rank_oracle``), so
+    G_O X = G_{M_t} has one solution X, and each o in O is
+    -sum_u X[o, u] u modulo the ideal.  Column j, the coordinates of
+    m_j * g, is its M_t-coefficients minus its O-coefficients times X.
     """
     cert = certify_basis(sys, M)
     if not cert.is_basis:
         raise InputError("monomial set is not a certified basis")
     profile = DegreeProfile(sys.degrees)
-    d = profile.bezout
     field = sys.field
-    if g.is_zero():
-        return MultiplicationMatrix(Matrix.zeros(field, d, d), g, d)
-    t = max(profile.rho, M.delta + int(g.degree))
-    monos = monomials_of_degree(sys.n + 1, t)
-    gens = macaulay_matrix(sys.homogenized(), monos)
+    t = max(profile.rho, M.delta + max(g.degree, 0))
+    hom = sys.homogenized()
     basis = M.homogenized_at(t)
-    # unknowns: one coefficient per generator, then the d M-coordinates
-    a = Matrix(
-        field,
-        [
-            [row[r] for row in gens.rows]
-            + [field.one if m == u else field.zero for u in basis]
-            for r, m in enumerate(monos)
-        ],
-        ncols=gens.nrows + d,
-    )
-    products = [homogenize(MultiPoly.monomial(field, m) * g, t) for m in M]
-    b = Matrix(field, [[p.coefficient(m) for p in products] for m in monos], ncols=d)
-
-    x = a.solve(b)
+    inside = set(basis)
+    outside = [m for m in monomials_of_degree(sys.n + 1, t) if m not in inside]
+    x = macaulay_matrix(hom, outside).solve(macaulay_matrix(hom, basis))
     if x is None:
         raise InputError("reduction system inconsistent despite a basis certificate")
-    bmat = Matrix(field, x.rows[gens.nrows:], ncols=d)
-    return MultiplicationMatrix(bmat, g, d - bmat.rank())
+    products = [homogenize(MultiPoly.monomial(field, m) * g, t) for m in M]
+    reduced = Matrix(
+        field, [[p.coefficient(o) for o in outside] for p in products], ncols=len(outside)
+    ) @ x
+    bmat = Matrix(
+        field,
+        [[p.coefficient(u) - r[i] for p, r in zip(products, reduced.rows)]
+         for i, u in enumerate(basis)],
+        ncols=len(products),
+    )
+    return MultiplicationMatrix(bmat, g, len(products) - bmat.rank())

@@ -139,7 +139,8 @@ def load_system(path: str, field) -> PolySystem:
     degrees = None
     polys = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig: a byte order mark, as some editors save one, is not text
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc.reason}") from None
@@ -148,9 +149,13 @@ def load_system(path: str, field) -> PolySystem:
         if not line:
             continue
         if degrees is None:
+            where = f"{path}, line {number}: "
             if not line.lower().startswith("degrees:"):
-                raise InputError("first line must declare `degrees: d1,..,dn`")
-            degrees = _degrees_arg(line.split(":", 1)[1])
+                raise InputError(where + "first line must declare `degrees: d1,..,dn`")
+            try:
+                degrees = _degrees_arg(line.split(":", 1)[1])
+            except InputError as exc:
+                raise InputError(where + str(exc)) from None
             continue
         try:
             polys.append(parse_poly(line, len(degrees), field))
@@ -158,9 +163,9 @@ def load_system(path: str, field) -> PolySystem:
             at = len(raw) - len(raw.lstrip()) + exc.position
             raise ParseError(f"{path}, line {number}: {exc.message}", at) from None
     if degrees is None:
-        raise InputError("missing degrees header")
+        raise InputError(f"{path}: missing degrees header")
     if len(polys) != len(degrees):
-        raise InputError(f"expected {len(degrees)} polynomials, found {len(polys)}")
+        raise InputError(f"{path}: expected {len(degrees)} polynomials, found {len(polys)}")
     return PolySystem(polys, degrees)
 
 

@@ -152,11 +152,6 @@ class Matrix:
 
     # -- constructors -------------------------------------------------
     @classmethod
-    def zeros(cls, field, nrows, ncols):
-        z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols=ncols)
-
-    @classmethod
     def identity(cls, field, n):
         z, o = field.zero, field.one
         return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])

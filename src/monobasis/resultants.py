@@ -1,5 +1,5 @@
-"""Macaulay matrices, the homogeneous resultant, Sylvester matrices and
-classical univariate subresultants.
+"""Macaulay matrices, the homogeneous resultant and the classical
+subresultants of two binary forms.
 
 The resultant of n forms f_1..f_n in n variables is the determinant of
 their Koszul complex in degree rho + 1 = d_1 + ... + d_n - n + 1, which is
@@ -7,7 +7,9 @@ exact exactly when Res != 0 (Chardin, "The resultant via a Koszul
 complex", 1993; Gelfand-Kapranov-Zelevinsky 1994, ch. 3 and app. A).  It
 is ``detcomplex.koszul_det`` at (rho + 1, S = {}), the same signed
 descending determinant that gives every subresultant, normalized so that
-Res(x_1^{d_1}, ..., x_n^{d_n}) = 1.
+Res(x_1^{d_1}, ..., x_n^{d_n}) = 1.  The classical subresultants R_k of
+two binary forms are such subresultants too; only the Sylvester
+resultant, kept as the tests' reference, builds a matrix of its own.
 """
 from __future__ import annotations
 
@@ -76,51 +78,50 @@ def resultant_macaulay(forms: PolySystem):
     return value if _diagonal_sign(forms.degrees) == 1 else -value
 
 
-def _binary_coeffs(f: MultiPoly, d: int) -> list:
-    """Coefficients c_0..c_d of a binary form of degree d, c_k that of x1^k x2^(d-k)."""
+def _check_binary(f: MultiPoly, d: int) -> None:
+    """Raise unless f is a binary form of degree d (or zero)."""
     if f.nvars != 2:
         raise ShapeError("expected a binary form")
     if f.terms and not f.is_homogeneous_of(d):
         raise InputError("binary input must be homogeneous of the declared degree")
-    coeffs = [f.field.zero] * (d + 1)
-    for (e1, _), c in f.terms.items():
-        coeffs[e1] = c
-    return coeffs
-
-
-def _sylvester_like(field, fc, gc, d1, d2, k):
-    # rows: x^(d2-k-1) f .. f then x^(d1-k-1) g .. g; columns by exponent
-    # d1+d2-k-1 downward, truncated to the leading d1+d2-2k columns
-    size = d1 + d2 - 2 * k
-    exps = list(range(d1 + d2 - k - 1, d1 + d2 - k - 1 - size, -1))
-    zero = field.zero
-    rows = []
-    for shift in range(d2 - k - 1, -1, -1):
-        rows.append([fc[e - shift] if 0 <= e - shift <= d1 else zero for e in exps])
-    for shift in range(d1 - k - 1, -1, -1):
-        rows.append([gc[e - shift] if 0 <= e - shift <= d2 else zero for e in exps])
-    return rows
 
 
 def sylvester_resultant(f: MultiPoly, g: MultiPoly, d1: int, d2: int):
-    """Determinant of the (d1+d2) x (d1+d2) Sylvester matrix of two binary forms."""
+    """Determinant of the (d1+d2) x (d1+d2) Sylvester matrix of two binary
+    forms: the tests' independent reference for ``resultant_macaulay``."""
     if d1 < 1 or d2 < 1:
         raise InputError("declared degrees must be at least 1")
-    fc = _binary_coeffs(f, d1)
-    gc = _binary_coeffs(g, d2)
-    rows = _sylvester_like(f.field, fc, gc, d1, d2, 0)
+    _check_binary(f, d1)
+    _check_binary(g, d2)
+    # rows x1^s f (s = d2-1..0), then x1^s g (s = d1-1..0); columns by the
+    # exponent of x1, from d1+d2-1 down to 0
+    zero = f.field.zero
+    exps = range(d1 + d2 - 1, -1, -1)
+    rows = [
+        [p.coefficient((e - s, d - e + s)) if 0 <= e - s <= d else zero for e in exps]
+        for p, d, copies in ((f, d1, d2), (g, d2, d1))
+        for s in range(copies - 1, -1, -1)
+    ]
     return Matrix(f.field, rows, ncols=d1 + d2).det()
 
 
 def classical_subresultants(f: MultiPoly, g: MultiPoly, d1: int, d2: int) -> dict:
-    """{k: R_k} for k = 1..d1-1 of two binary forms, as Sylvester-submatrix
-    determinants (d1 <= d2)."""
+    """{k: R_k} for k = 1..d1-1 of two binary forms of degrees d1 <= d2.
+
+    R_k is the subresultant D^t_{S_k} of (f, g) at t = d1 + d2 - k - 1,
+    with S_k the k degree-t monomials of lowest x1-degree.  That Koszul
+    complex has one map, (p, q) -> p f + q g onto the monomials outside
+    S_k, and its matrix is the Sylvester matrix cut to its leading
+    d1 + d2 - 2k columns: so D^t_{S_k} is the classical principal
+    subresultant, sign included.
+    """
     if not 1 <= d1 <= d2:
         raise InputError("need 1 <= d1 <= d2")
-    fc = _binary_coeffs(f, d1)
-    gc = _binary_coeffs(g, d2)
+    _check_binary(f, d1)
+    _check_binary(g, d2)
+    forms = PolySystem([f, g], (d1, d2))
     values = {}
     for k in range(1, d1):
-        rows = _sylvester_like(f.field, fc, gc, d1, d2, k)
-        values[k] = Matrix(f.field, rows, ncols=d1 + d2 - 2 * k).det()
+        t = d1 + d2 - k - 1
+        values[k] = koszul_det(forms, t, [(e, t - e) for e in range(k)])
     return values

@@ -318,3 +318,34 @@ def test_huge_exponent_is_an_input_error_not_an_enumeration():
             rank_oracle(sys_, M)
         with pytest.raises(InputError):
             certify_basis(sys_, M)
+
+
+def test_multiplication_matrix_pinned_columns():
+    """Column j holds the M-coordinates of m_j * g: on x1^2 = 4, x2^2 = 9
+    with M = (1, x1, x2, x1 x2), x1 * x1 = 4 and x1 * x1 x2 = 4 x2."""
+    sys_, _ = power_system(QQ, (2, 2), [2, 3])
+    mm = multiplication_matrix(sys_, m0_set((2, 2)), MultiPoly.variable(QQ, 2, 0))
+    expected = [[0, 4, 0, 0], [1, 0, 0, 0], [0, 0, 0, 4], [0, 0, 1, 0]]
+    assert mm.matrix == Matrix(QQ, [[QQ.of(x) for x in row] for row in expected])
+
+
+def test_upsilon_input_checks():
+    three = parsed_system(["x1^2 - x3", "x2^2 - 1", "x3^2 - 1"], (2, 2, 2), QQ)
+    with pytest.raises(ShapeError):
+        upsilon_bivariate(three.polys[0], three.polys[1], 2, 2)
+    # the leading forms x1 (x1 - x2) and (x1 - x2)(x1 + x2) share a factor
+    sys_ = parsed_system(["x1^2 - x1*x2", "x1^2 - x2^2 + 1"], (2, 2), QQ)
+    with pytest.raises(InputError):
+        upsilon_bivariate(sys_.polys[0], sys_.polys[1], 2, 2)
+
+
+def test_vandermonde_rejects_wrong_root_data():
+    sys_, roots = power_system(QQ, (2, 2), [1, 1])
+    M = m0_set((2, 2))
+    with pytest.raises(InputError):
+        vandermonde_verify(sys_, roots[:3], M)
+    with pytest.raises(InputError):
+        vandermonde_verify(sys_, [pt + (QQ.zero,) for pt in roots], M)
+    line = parsed_system(["x1 - x2", "x1 - x2"], (1, 1), QQ)
+    with pytest.raises(InputError, match="resultant of the leading forms vanishes"):
+        vandermonde_verify(line, [(0, 0)], MonomialSet([(0, 0)]))

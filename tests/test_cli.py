@@ -100,6 +100,34 @@ def test_load_system_declared_degree_above_actual(tmp_path):
     assert sys_.leading_forms().polys[0].is_zero()
 
 
+def test_load_system_errors_name_the_file(tmp_path, capsys):
+    path = tmp_path / "sys.txt"
+    for text, message in (
+        ("# no header\nx1^2 - 1\n", "line 2: first line must declare `degrees: d1,..,dn`"),
+        ("degrees: 2,x\nx1^2 - 1\nx2^2 - 1\n", "line 1: bad degree list ' 2,x'"),
+        ("degrees: 0,2\nx1^2 - 1\nx2^2 - 1\n", "line 1: degrees must be positive integers"),
+        ("# only a comment\n\n", "missing degrees header"),
+        ("degrees: 2,2\nx1^2 - 1\n", "expected 2 polynomials, found 1"),
+    ):
+        path.write_text(text)
+        assert main(["resultant", "--field", "q", "--system", str(path)]) == 2
+        sep = ", " if message.startswith("line") else ": "
+        assert capsys.readouterr().err == f"error: {path}{sep}{message}\n", text
+
+
+def test_load_system_reads_past_a_byte_order_mark(tmp_path, capsys):
+    text = "degrees: 2,2\nx1^2 - 1\nx2^2 - 1\n"
+    answers = []
+    for name, encoding in (("plain.txt", "utf-8"), ("bom.txt", "utf-8-sig")):
+        path = tmp_path / name
+        path.write_text(text, encoding=encoding)
+        assert load_system(str(path), QQ) == load_system(str(tmp_path / "plain.txt"), QQ)
+        code = main(["basis-check", "--field", "q", "--system", str(path),
+                     "--monomials", "1,x1,x2,x1*x2"])
+        answers.append((code, capsys.readouterr()))
+    assert answers[0] == answers[1] and answers[0][0] == 0
+
+
 @pytest.fixture
 def grid22(tmp_path):
     path = tmp_path / "grid.txt"

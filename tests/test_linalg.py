@@ -278,5 +278,5 @@ def test_edge_shapes(field):
         select_nonzero_maximal_minor(zero_by_three, "rows")
     x = zero_by_three.solve(Matrix(field, [], ncols=2))
     assert (x.nrows, x.ncols) == (3, 2) and x.is_zero()
-    assert three_by_zero.solve(Matrix.zeros(field, 3, 1)) == Matrix(field, [], ncols=1)
+    assert three_by_zero.solve(Matrix(field, [[field.zero]] * 3)) == Matrix(field, [], ncols=1)
     assert three_by_zero.solve(Matrix(field, [[field.one], [field.zero], [field.zero]])) is None

@@ -318,3 +318,32 @@ def test_coprime_pair_has_nonzero_psc_at_one():
         assert bool(sylvester_resultant(f, g, 3, 3))
         found += 1
     assert found >= 25
+
+
+def test_classical_subresultant_input_checks():
+    """The checks run before any k is computed, so they also hold for
+    d1 = 1, where there is no k at all."""
+    cubic3 = MultiPoly(QQ, 3, {(3, 0, 0): QQ.one, (0, 1, 2): QQ.one})
+    for d1, form in ((2, MultiPoly(QQ, 3, {(2, 0, 0): QQ.one, (0, 1, 1): QQ.one})),
+                     (1, MultiPoly(QQ, 3, {(1, 0, 0): QQ.one, (0, 0, 1): QQ.one}))):
+        with pytest.raises(ShapeError):
+            classical_subresultants(form, cubic3, d1, 3)
+    f = binary_form(QQ, [1, 3, -1])
+    g = binary_form(QQ, [2, 0, -1, 5])
+    affine = f + MultiPoly.constant(QQ, 2, 1)
+    with pytest.raises(InputError):
+        classical_subresultants(affine, g, 2, 3)
+    with pytest.raises(InputError):
+        classical_subresultants(g, f, 3, 2)
+    with pytest.raises(InputError):
+        sylvester_resultant(MultiPoly.constant(QQ, 2, 1), g, 0, 3)
+
+
+def test_classical_subresultants_pinned_values():
+    """R_k with its sign: upsilon squares R_k, so only a pin sees the sign."""
+    f = binary_form(QQ, [1, 3, -1])  # x1^2 + 3 x1 x2 - x2^2
+    g = binary_form(QQ, [2, 0, -1, 5])  # 2 x1^3 - x1 x2^2 + 5 x2^3
+    assert classical_subresultants(f, g, 2, 3) == {1: 19}
+    f = binary_form(F101, [1, 0, -2, 1])  # x1^3 - 2 x1 x2^2 + x2^3
+    g = binary_form(F101, [1, 7, 0, -1])  # x1^3 + 7 x1^2 x2 - x2^3
+    assert classical_subresultants(f, g, 3, 3) == {1: F101.of(21), 2: F101.of(7)}
