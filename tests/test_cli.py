@@ -102,17 +102,16 @@ def test_load_system_declared_degree_above_actual(tmp_path):
 
 def test_load_system_errors_name_the_file(tmp_path, capsys):
     path = tmp_path / "sys.txt"
-    for text, message in (
-        ("# no header\nx1^2 - 1\n", "line 2: first line must declare `degrees: d1,..,dn`"),
-        ("degrees: 2,x\nx1^2 - 1\nx2^2 - 1\n", "line 1: bad degree list ' 2,x'"),
-        ("degrees: 0,2\nx1^2 - 1\nx2^2 - 1\n", "line 1: degrees must be positive integers"),
-        ("# only a comment\n\n", "missing degrees header"),
-        ("degrees: 2,2\nx1^2 - 1\n", "expected 2 polynomials, found 1"),
+    for text, after_path in (
+        ("# no header\nx1^2 - 1\n", ", line 2: first line must declare `degrees: d1,..,dn`"),
+        ("degrees: 2,x\nx1^2 - 1\nx2^2 - 1\n", ", line 1: bad degree list ' 2,x'"),
+        ("degrees: 0,2\nx1^2 - 1\nx2^2 - 1\n", ", line 1: degrees must be positive integers"),
+        ("# only a comment\n\n", ": missing degrees header"),
+        ("degrees: 2,2\nx1^2 - 1\n", ": expected 2 polynomials, found 1"),
     ):
         path.write_text(text)
         assert main(["resultant", "--field", "q", "--system", str(path)]) == 2
-        sep = ", " if message.startswith("line") else ": "
-        assert capsys.readouterr().err == f"error: {path}{sep}{message}\n", text
+        assert capsys.readouterr().err == f"error: {path}{after_path}\n", text
 
 
 def test_load_system_reads_past_a_byte_order_mark(tmp_path, capsys):
