@@ -36,7 +36,7 @@ from .errors import (
 )
 from .fields import GF, QQ, FpElement, PrimeField, RationalField, field_from_spec
 from .hilbert import DegreeProfile, hilbert_H, hilbert_h
-from .koszul import BasisElement, GradedComplex, build_complex
+from .koszul import GradedComplex, build_complex
 from .linalg import Matrix, MinorSelection, select_nonzero_maximal_minor
 from .polynomials import (
     MonomialSet,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, ShapeError
 from .hilbert import DegreeProfile, hilbert_h
+from .koszul import koszul_term
 from .linalg import Matrix
 from .polynomials import (
     MonomialSet,
@@ -21,7 +22,6 @@ from .polynomials import (
     PolySystem,
     homogenize,
     m0_set,
-    monomials_of_degree,
 )
 from .resultants import classical_subresultants, macaulay_matrix, resultant_macaulay
 from .subresultants import subresultant_D, subresultant_delta
@@ -109,13 +109,14 @@ def rank_oracle(sys: PolySystem, M: MonomialSet) -> bool:
     the degree-t monomials outside M_t.
     """
     profile = _check_question(sys, M)
-    top = monomials_of_degree(sys.n, profile.rho + 1)
-    if macaulay_matrix(sys.leading_forms(), top).rank() < len(top):
+    forms = sys.leading_forms()
+    top = [m for m, _ in koszul_term(forms, profile.rho + 1, 0)]
+    if macaulay_matrix(forms, top).rank() < len(top):
         return False
     t = max(M.delta, profile.rho)
-    inside = set(M.homogenized_at(t))
-    outside = [m for m in monomials_of_degree(sys.n + 1, t) if m not in inside]
-    return macaulay_matrix(sys.homogenized(), outside).rank() == len(outside)
+    hom = sys.homogenized()
+    outside = [m for m, _ in koszul_term(hom, t, 0, M.homogenized_at(t))]
+    return macaulay_matrix(hom, outside).rank() == len(outside)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +318,7 @@ def multiplication_matrix(
     t = max(profile.rho, M.delta + max(g.degree, 0))
     hom = sys.homogenized()
     basis = M.homogenized_at(t)
-    inside = set(basis)
-    outside = [m for m in monomials_of_degree(sys.n + 1, t) if m not in inside]
+    outside = [m for m, _ in koszul_term(hom, t, 0, basis)]
     x = macaulay_matrix(hom, outside).solve(macaulay_matrix(hom, basis))
     if x is None:
         raise InputError("reduction system inconsistent despite a basis certificate")

@@ -57,6 +57,15 @@ def _tokenize(text: str):
     return tokens
 
 
+def _int(text: str, pos: int) -> int:
+    """A token's digits as an int; a ParseError past the interpreter's
+    int-string limit (``sys.get_int_max_str_digits``)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"number too long ({len(text)} digits)", pos) from None
+
+
 def parse_poly(text: str, nvars: int, field) -> MultiPoly:
     """Parse a polynomial in variables x1..x<nvars> over the given field."""
     tokens = _tokenize(text)
@@ -79,21 +88,24 @@ def parse_poly(text: str, nvars: int, field) -> MultiPoly:
         while True:
             kind, value, pos = tokens[i]
             if kind == "num":
+                top, _, bottom = value.partition("/")
+                num = _int(top, pos)
+                den = _int(bottom, pos + len(top) + 1) if bottom else 1
+                if not den:
+                    raise ParseError(f"zero denominator in {value}", pos)
                 try:
-                    coeff = coeff * field.of(Fraction(value))
-                except ZeroDivisionError:
-                    raise ParseError(f"zero denominator in {value}", pos) from None
+                    coeff = coeff * field.of(Fraction(num, den))
                 except InputError as exc:  # no value in F_p
                     raise ParseError(str(exc), pos) from None
             elif kind == "var":
-                k = int(value[1:])
+                k = _int(value[1:], pos + 1)
                 if not 1 <= k <= nvars:
                     raise ParseError(f"unknown variable {value}", pos)
                 e = 1
                 if i + 1 < len(tokens) and tokens[i + 1][0] == "caret":
                     if i + 2 >= len(tokens) or tokens[i + 2][0] != "num" or "/" in tokens[i + 2][1]:
                         raise ParseError("exponent must be a non-negative integer", tokens[i + 1][2])
-                    e = int(tokens[i + 2][1])
+                    e = _int(tokens[i + 2][1], tokens[i + 2][2])
                     i += 2
                 mono[k - 1] += e
             else:

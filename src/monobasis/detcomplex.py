@@ -17,7 +17,9 @@ chosen, and permuting the bases changes it by the product of the
 permutations' signs.  ``koszul_det`` is that value for the degree-t
 Koszul complex C_t(S); the resultant and every subresultant are computed
 by it.  The ascending decomposition is unsigned and serves as the
-independent reference of the tests.
+independent reference of the tests; it transposes each of its stages, so
+the one minor selector always picks the pivot columns of a map with full
+row rank.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from .errors import NotExact, NotFullRank
 from .hilbert import required_cardinality
 from .koszul import GradedComplex, build_complex
-from .linalg import select_nonzero_maximal_minor
+from .linalg import Matrix, select_nonzero_maximal_minor
 from .polynomials import PolySystem
 
 __all__ = [
@@ -41,7 +43,6 @@ __all__ = [
 class DecompositionTrace:
     """Per-stage minors and determinants, and the final alternating product."""
 
-    direction: str
     stage_minors: tuple  # one MinorSelection per map index 1..s
     stage_dets: tuple
     delta: object
@@ -56,25 +57,26 @@ def _alternating_product(field, dets):
 
 
 def decompose_ascending(c: GradedComplex) -> DecompositionTrace:
-    """Splitting from the right-most term, choosing row sets."""
+    """Splitting from the right-most term, choosing row sets: each stage's
+    minor is chosen on the transpose of its restricted map, whose pivot
+    columns are the chosen rows."""
     dims = c.dims()
     cols = list(range(dims[0]))
     minors = []
     for k in range(1, c.s + 1):
-        restricted = c.differentials[k - 1].submatrix(range(dims[k]), cols)
+        d = c.differentials[k - 1]
+        transposed = Matrix(c.field, [[row[j] for row in d.rows] for j in cols], ncols=dims[k])
         try:
-            sel = select_nonzero_maximal_minor(restricted, "rows")
+            sel = select_nonzero_maximal_minor(transposed)
         except NotFullRank:
             raise NotExact(f"stage {k}: restricted differential is not onto") from None
         minors.append(sel)
-        chosen = set(sel.row_indices)
+        chosen = set(sel.col_indices)
         cols = [i for i in range(dims[k]) if i not in chosen]
     if cols:
         raise NotExact("leftover basis elements after the last term")
     dets = [sel.minor_value for sel in minors]
-    return DecompositionTrace(
-        "ascending", tuple(minors), tuple(dets), _alternating_product(c.field, dets)
-    )
+    return DecompositionTrace(tuple(minors), tuple(dets), _alternating_product(c.field, dets))
 
 
 def decompose_descending(c: GradedComplex) -> DecompositionTrace:
@@ -87,7 +89,7 @@ def decompose_descending(c: GradedComplex) -> DecompositionTrace:
     for k in range(c.s, 0, -1):
         restricted = c.differentials[k - 1].submatrix(rows, range(dims[k - 1]))
         try:
-            sel = select_nonzero_maximal_minor(restricted, "cols")
+            sel = select_nonzero_maximal_minor(restricted)
         except NotFullRank:
             raise NotExact(f"stage {k}: restricted differential is not into") from None
         cols = sel.col_indices
@@ -101,9 +103,7 @@ def decompose_descending(c: GradedComplex) -> DecompositionTrace:
         raise NotExact("leftover basis elements after the first term")
     minors.reverse()
     dets.reverse()
-    return DecompositionTrace(
-        "descending", tuple(minors), tuple(dets), _alternating_product(c.field, dets)
-    )
+    return DecompositionTrace(tuple(minors), tuple(dets), _alternating_product(c.field, dets))
 
 
 def koszul_det(sys: PolySystem, t: int, S):

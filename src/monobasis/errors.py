@@ -18,7 +18,7 @@ class InputError(AlgebraError):
 
 
 class NotFullRank(AlgebraError):
-    """No non-zero maximal minor exists along the requested axis."""
+    """A map has no non-zero maximal minor: its rows are dependent."""
 
 
 class NotExact(AlgebraError):

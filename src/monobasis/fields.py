@@ -10,14 +10,15 @@ from fractions import Fraction
 
 from .errors import InputError
 
-# Deterministic Miller-Rabin witnesses for n < 3.3 * 10**24 (covers 2**62).
+# Deterministic Miller-Rabin witnesses for n < 3.3 * 10**24 (covers 2**62),
+# also the primes tried by division first.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d = n - 1

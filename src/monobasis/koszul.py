@@ -11,34 +11,22 @@ omitted); the last map additionally drops the coefficients of monomials
 in S.  The sign convention is fixed here once and for all; it only moves
 the determinant of the complex by a global sign.
 
-Every map is stored in Macaulay's layout, one row per source element
-holding its image on the target elements (``koszul_map``), so the first
-map is Macaulay's matrix of the P_i on the degree-t monomials outside S.
+``koszul_term`` lists each term as (monomial, wedge) pairs, and every
+differential, the Macaulay matrix included, is ``koszul_map`` between two
+such lists, in Macaulay's layout: one row per source element holding its image on the
+target elements.  So the first map is Macaulay's matrix of the P_i on the
+degree-t monomials outside S.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import InputError
 from .linalg import Matrix
 from .polynomials import PolySystem, mono_mul, monomials_of_degree
 
-__all__ = ["BasisElement", "GradedComplex", "build_complex", "koszul_map"]
-
-
-class BasisElement(NamedTuple):
-    """x^monomial e_{i_1} ^ ... ^ e_{i_k}, wedge indices 1-based and increasing."""
-
-    monomial: tuple
-    wedge: tuple
-
-    def __repr__(self):
-        if not self.wedge:
-            return f"x^{self.monomial}"
-        wedge = "^".join(f"e{i}" for i in self.wedge)
-        return f"x^{self.monomial} {wedge}"
+__all__ = ["GradedComplex", "build_complex", "koszul_map", "koszul_term"]
 
 
 @dataclass(frozen=True)
@@ -48,12 +36,27 @@ class GradedComplex:
     s: int
     t: int
     nvars: int
-    term_bases: tuple  # term_bases[k] = tuple of BasisElement
+    term_bases: tuple  # term_bases[k] = koszul_term(..., k, S) as a tuple
     differentials: tuple  # [k-1]: term k -> k-1, rows on term k, columns on k-1
     field: object
 
     def dims(self) -> list:
         return [len(b) for b in self.term_bases]
+
+
+def koszul_term(sys: PolySystem, t: int, k: int, S=()) -> list:
+    """Term k of C_t(S) as (monomial, wedge) pairs, in the layout of every
+    matrix built from it: for k >= 1 each x^a e_I with |I| = k (wedges in
+    lexicographic order, each with its monomials of degree t - sum d_I in
+    ``mono_key`` order), for k = 0 the degree-t monomials outside S."""
+    if k == 0:
+        skip = set(S)
+        return [(m, ()) for m in monomials_of_degree(sys.nvars, t) if m not in skip]
+    return [
+        (m, wedge)
+        for wedge in itertools.combinations(range(1, sys.n + 1), k)
+        for m in monomials_of_degree(sys.nvars, t - sum(sys.degrees[i - 1] for i in wedge))
+    ]
 
 
 def koszul_map(sys: PolySystem, source, target) -> Matrix:
@@ -86,9 +89,7 @@ def koszul_map(sys: PolySystem, source, target) -> Matrix:
 def build_complex(sys: PolySystem, t: int, S) -> GradedComplex:
     """Build C_t^s for a homogeneous system and a degree-t monomial set S."""
     v = sys.nvars
-    s = sys.n
-    degrees = sys.degrees
-    for f, d in zip(sys.polys, degrees):
+    for f, d in zip(sys.polys, sys.degrees):
         if not f.is_homogeneous_of(d):
             raise InputError(f"polynomial {f!r} is not homogeneous of degree {d}")
 
@@ -99,25 +100,6 @@ def build_complex(sys: PolySystem, t: int, S) -> GradedComplex:
         if len(m) != v or any(e < 0 for e in m) or sum(m) != t:
             raise InputError(f"{m} is not a degree-{t} monomial in {v} variables")
 
-    s_set = set(S)
-    b0 = tuple(
-        BasisElement(m, ()) for m in monomials_of_degree(v, t) if m not in s_set
-    )
-    bases = [b0]
-    for k in range(1, s + 1):
-        bk = []
-        for wedge in itertools.combinations(range(1, s + 1), k):
-            deg = t - sum(degrees[i - 1] for i in wedge)
-            for m in monomials_of_degree(v, deg):
-                bk.append(BasisElement(m, wedge))
-        bases.append(tuple(bk))
-    diffs = tuple(koszul_map(sys, bases[k], bases[k - 1]) for k in range(1, s + 1))
-
-    return GradedComplex(
-        s=s,
-        t=t,
-        nvars=v,
-        term_bases=tuple(bases),
-        differentials=diffs,
-        field=sys.field,
-    )
+    bases = tuple(tuple(koszul_term(sys, t, k, S)) for k in range(sys.n + 1))
+    diffs = tuple(koszul_map(sys, bases[k], bases[k - 1]) for k in range(1, sys.n + 1))
+    return GradedComplex(sys.n, t, v, bases, diffs, sys.field)

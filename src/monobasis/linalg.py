@@ -239,30 +239,14 @@ class MinorSelection:
     minor_value: object
 
 
-def select_nonzero_maximal_minor(m: Matrix, axis: str) -> MinorSelection:
-    """Deterministic greedy choice of a non-zero maximal minor.
-
-    ``axis="cols"`` assumes the matrix is onto (full row rank) and picks
-    the pivot columns of m; ``axis="rows"`` assumes it is into (full
-    column rank) and picks the pivot columns of its transpose.  Raises
-    NotFullRank when the assumption fails.
+def select_nonzero_maximal_minor(m: Matrix) -> MinorSelection:
+    """Deterministic greedy choice of a non-zero maximal minor of a map
+    that is onto (full row rank): every row and the pivot columns.
+    Raises NotFullRank when the rows are dependent.
     """
-    if axis == "cols":
-        target = m.nrows
-        ech = _echelon(m.field, m.rows, m.ncols)
-    elif axis == "rows":
-        target = m.ncols
-        ech = _echelon(m.field, [[r[j] for r in m.rows] for j in range(m.ncols)], m.nrows)
-    else:
-        raise ValueError("axis must be 'rows' or 'cols'")
-    if len(ech.pivots) < target:
+    ech = _echelon(m.field, m.rows, m.ncols)
+    if len(ech.pivots) < m.nrows:
         raise NotFullRank(
-            f"no non-zero maximal minor along axis={axis} "
-            f"({len(ech.pivots)} of {target} independent vectors)"
+            f"no non-zero maximal minor ({len(ech.pivots)} of {m.nrows} rows independent)"
         )
-    chosen = tuple(ech.pivots)
-    if axis == "cols":
-        rows, cols = tuple(range(m.nrows)), chosen
-    else:
-        rows, cols = chosen, tuple(range(m.ncols))
-    return MinorSelection(rows, cols, ech.minor())
+    return MinorSelection(tuple(range(m.nrows)), tuple(ech.pivots), ech.minor())

@@ -216,14 +216,14 @@ class MultiPoly:
             out = out + term
         return out
 
-    def to_string(self, first_index: int = 1) -> str:
+    def to_string(self) -> str:
         if not self.terms:
             return "0"
         parts = []
         for m in self.support():
             c = self.terms[m]
             factors = [
-                f"x{i + first_index}" + (f"^{e}" if e > 1 else "")
+                f"x{i + 1}" + (f"^{e}" if e > 1 else "")
                 for i, e in enumerate(m)
                 if e > 0
             ]

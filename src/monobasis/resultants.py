@@ -18,9 +18,9 @@ import functools
 from .detcomplex import koszul_det
 from .errors import InputError, ShapeError
 from .fields import GF
-from .koszul import koszul_map
+from .koszul import koszul_map, koszul_term
 from .linalg import Matrix
-from .polynomials import MultiPoly, PolySystem, monomials_of_degree
+from .polynomials import MultiPoly, PolySystem
 
 __all__ = [
     "classical_subresultants",
@@ -41,9 +41,7 @@ def macaulay_matrix(sys: PolySystem, columns) -> Matrix:
     """
     # an empty column set has no degree and gets no rows
     t = sum(columns[0]) if columns else 0
-    sources = [(b, (i,)) for i, d in enumerate(sys.degrees, 1)
-               for b in monomials_of_degree(sys.nvars, t - d)]
-    return koszul_map(sys, sources, [(m, ()) for m in columns])
+    return koszul_map(sys, koszul_term(sys, t, 1), [(m, ()) for m in columns])
 
 
 @functools.lru_cache(maxsize=64)

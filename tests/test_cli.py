@@ -245,6 +245,42 @@ def test_zero_denominator_is_a_parse_error(grid22, tmp_path, capsys):
         assert capsys.readouterr().err.startswith("parse error:")
 
 
+# one case per token kind that holds digits, over the three inputs that
+# are parsed as polynomials; N stands for a number one digit longer than
+# the interpreter's int-string limit
+@pytest.mark.parametrize("where, template, position", [
+    ("g", "N*x1", 0),  # coefficient
+    ("g", "x1 + 1/N", 7),  # denominator
+    ("g", "x1^N", 3),  # exponent
+    ("monomials", "1,x1,x2,xN", 9),  # variable index
+    ("monomials", "1,x1,x2,x1*x2^N", 14),  # exponent
+    ("system", "x2^2 - N", 7),  # coefficient
+    ("system", "x2^2 - xN", 8),  # variable index
+])
+def test_numbers_past_the_int_string_limit_are_parse_errors(
+    grid22, tmp_path, capsys, where, template, position
+):
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter converts ints of any length")
+    text = template.replace("N", "9" * (limit + 1))
+    monomials, g = "1,x1,x2,x1*x2", "x1"
+    system = grid22
+    if where == "g":
+        g = text
+    elif where == "monomials":
+        monomials = text
+    else:
+        system = tmp_path / "long.txt"
+        system.write_text(f"degrees: 2,2\nx1^2 - 1\n{text}\n")
+    assert main(["mulmat", "--field", "q", "--system", str(system),
+                 "--monomials", monomials, "--g", g]) == 2
+    place = f"{system}, line 3: " if where == "system" else ""
+    assert capsys.readouterr().err == (
+        f"parse error: {place}number too long ({limit + 1} digits) (at position {position})\n"
+    )
+
+
 @pytest.mark.parametrize("header", ["degrees: 2,x", "degrees:", "degrees: 0,2"])
 def test_cli_malformed_degrees_header(tmp_path, capsys, header):
     path = tmp_path / "sys.txt"

@@ -1,5 +1,7 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and every
+name it exports is defined there."""
 import ast
+import importlib
 import pathlib
 
 import monobasis
@@ -62,3 +64,14 @@ def test_library_modules_use_every_import():
         if path.name != "__init__.py"
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_library_modules_define_every_exported_name():
+    stale = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "monobasis" if path.stem == "__init__" else f"monobasis.{path.stem}"
+        module = importlib.import_module(name)
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        if missing:
+            stale[path.name] = missing
+    assert stale == {}

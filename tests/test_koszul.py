@@ -67,7 +67,7 @@ def test_projection_stage_drops_selected_monomials():
     c = build_complex(sys_, 3, S)
     # B_0 omits exactly the monomials of S
     assert set(c.term_bases[0]) == set(
-        b for b in build_complex(sys_, 3, []).term_bases[0] if b.monomial not in S
+        b for b in build_complex(sys_, 3, []).term_bases[0] if b[0] not in S
     )
 
 
