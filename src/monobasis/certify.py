@@ -110,12 +110,12 @@ def rank_oracle(sys: PolySystem, M: MonomialSet) -> bool:
     """
     profile = _check_question(sys, M)
     forms = sys.leading_forms()
-    top = [m for m, _ in koszul_term(forms, profile.rho + 1, 0)]
+    top = koszul_term(forms, profile.rho + 1, 0)
     if macaulay_matrix(forms, top).rank() < len(top):
         return False
     t = max(M.delta, profile.rho)
     hom = sys.homogenized()
-    outside = [m for m, _ in koszul_term(hom, t, 0, M.homogenized_at(t))]
+    outside = koszul_term(hom, t, 0, M.homogenized_at(t))
     return macaulay_matrix(hom, outside).rank() == len(outside)
 
 
@@ -318,13 +318,13 @@ def multiplication_matrix(
     t = max(profile.rho, M.delta + max(g.degree, 0))
     hom = sys.homogenized()
     basis = M.homogenized_at(t)
-    outside = [m for m, _ in koszul_term(hom, t, 0, basis)]
-    x = macaulay_matrix(hom, outside).solve(macaulay_matrix(hom, basis))
+    outside = koszul_term(hom, t, 0, basis)
+    x = macaulay_matrix(hom, outside).solve(macaulay_matrix(hom, [(u, ()) for u in basis]))
     if x is None:
         raise InputError("reduction system inconsistent despite a basis certificate")
     products = [homogenize(MultiPoly.monomial(field, m) * g, t) for m in M]
     reduced = Matrix(
-        field, [[p.coefficient(o) for o in outside] for p in products], ncols=len(outside)
+        field, [[p.coefficient(o) for o, _ in outside] for p in products], ncols=len(outside)
     ) @ x
     bmat = Matrix(
         field,

@@ -39,6 +39,24 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# str() never raises below this: the lowest int-string limit that the
+# interpreter accepts is 640 digits
+_SHORT = 10**600
+
+
+def _decimal(n: int) -> str:
+    """The decimal digits of any int.  str() raises past the interpreter's
+    int-string limit (sys.get_int_max_str_digits), which a library must
+    not change for its whole process, so long ints are split in halves."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n < _SHORT:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half the decimal digits
+    high, low = divmod(n, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
 class FpElement:
     """Residue modulo an odd prime p, canonical representative in [0, p)."""
 
@@ -187,7 +205,9 @@ class RationalField:
         raise InputError(f"cannot coerce {value!r} into Q")
 
     def format(self, value: Fraction) -> str:
-        return str(self.of(value))
+        q = self.of(value)
+        text = _decimal(q.numerator)
+        return text if q.denominator == 1 else f"{text}/{_decimal(q.denominator)}"
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

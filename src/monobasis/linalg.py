@@ -1,21 +1,30 @@
-"""Dense exact matrices over Q or F_p, on one elimination kernel.
+"""Exact matrices over Q or F_p, on one elimination kernel.
 
 Determinant, rank, solve and the choice of a non-zero maximal minor are
 all read off one forward elimination to row echelon form, ``_echelon``.
-Over F_p it is Gaussian elimination on plain ints in [0, p).  Over Q each
-row is first cleared to integers by its own common denominator and the
-elimination is fraction-free (Bareiss, Math. Comp. 1968): no Fraction is
-built inside the loop, only the final answers are rationals.  Which of
-the two arithmetics runs is decided once per call.
+Columns are taken left to right, so the pivot columns are exactly the
+columns that a left-to-right scan finds independent of those before it:
+they are the deterministic greedy choice of a non-zero maximal minor, and
+every run is reproducible.  Which arithmetic runs is decided once per call.
 
-The pivot of each column is its first non-zero entry in row order, so
-the pivot columns are exactly the columns that a left-to-right scan finds
-independent of those before it: they are the deterministic greedy choice
-of a non-zero maximal minor, and every run is reproducible.  The value of
-that minor comes from the same pass: over Z the last Bareiss pivot is the
-minor of the row-scaled matrix, and mod p it is the product of the
-pivots, each times the sign of the row swaps.
+Over F_p the kernel is sparse: each row is a dict {column: residue} of
+its non-zero entries, and the pivot of a column is the shortest remaining
+row that holds it, which keeps fill-in down on Macaulay matrices (the
+row rule of structured Gaussian elimination, LaMacchia and Odlyzko 1990).
+Which row is the pivot does not change the pivot columns.  The minor
+is the product of the pivots times the sign of the permutation that puts
+the pivot rows in pivot order.
+
+Over Q each row is first cleared to integers by its own common
+denominator.  Determinants, solutions and minors are fraction-free
+Gaussian elimination (Bareiss, Math. Comp. 1968), whose last pivot is the
+minor of the row-scaled matrix.  A rank first runs the sparse kernel on
+the integer rows mod the prime P = 2**62 - 57: the rank of an integer
+matrix mod P is at most its rank over Q, which is at most
+min(nrows, ncols), so a full rank mod P is the rank over Q.  Any other
+count is re-done by Bareiss, so every answer stays exact.
 """
+
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -27,18 +36,22 @@ from .fields import FpElement, PrimeField
 
 __all__ = ["Matrix", "MinorSelection", "select_nonzero_maximal_minor"]
 
+# the largest prime below 2**62: a rank over Q is proved modulo it first
+_P = 2**62 - 57
+
 
 @dataclass(frozen=True)
 class _Echelon:
     """Row echelon form: pivots[k] is the pivot column of echelon row k.
 
-    The rows keep their full width; entries left of a row's pivot are
-    stale and never read.
+    Mod p each row is a dict of its non-zero entries, none left of its
+    pivot.  Over Z the rows keep their full width; entries left of a
+    row's pivot are stale and never read.
     """
 
     pivots: list
     rows: list
-    sign: int  # (-1)^(number of row swaps)
+    sign: int  # sign of the permutation taking the pivot rows into pivot order
     scale: int  # product of the row denominators cleared over Q; 1 mod p
     p: object  # the prime, or None over Q
 
@@ -59,58 +72,91 @@ class _Echelon:
         # over Z, d * X is integral for d the last pivot (Cramer's rule on
         # the pivot rows), so the back-substitution divides exactly
         d = 1 if p or not self.rows else self.rows[-1][self.pivots[-1]]
-        x = [[0] * k for _ in range(m)]
-        solved = []
+        x = {}  # pivot column -> its row of X (times d over Z)
         for c, row in zip(reversed(self.pivots), reversed(self.rows)):
-            acc = [d * b for b in row[m:]]
-            for c2 in solved:
-                f = row[c2]
-                if f:
-                    acc = [a - f * y for a, y in zip(acc, x[c2])]
+            acc = [0] * k
+            for j, f in row.items() if p else enumerate(row):
+                if j >= m:
+                    acc[j - m] += d * f
+                elif f and j in x:
+                    acc = [a - f * y for a, y in zip(acc, x[j])]
             if p:
                 inv = pow(row[c], -1, p)
                 x[c] = [a * inv % p for a in acc]
             else:
                 x[c] = [a // row[c] for a in acc]
-            solved.append(c)
+        zero = [0] * k
         if p:
-            return [[FpElement(v, p) for v in row] for row in x]
-        return [[Fraction(v, d) for v in row] for row in x]
+            return [[FpElement(v, p) for v in x.get(c, zero)] for c in range(m)]
+        return [[Fraction(v, d) for v in x.get(c, zero)] for c in range(m)]
 
 
-def _echelon(field, rows, ncols: int) -> _Echelon:
-    """Forward elimination of ``rows`` (lists of field elements)."""
-    if isinstance(field, PrimeField):
-        p, scale = field.p, 1
-        work = [[e.val for e in row] for row in rows]
+def _permutation_sign(order: list) -> int:
+    """Sign of the permutation that sorts the distinct values ``order``."""
+    perm = sorted(range(len(order)), key=order.__getitem__)
+    sign = 1
+    for k in range(len(perm)):
+        while perm[k] != k:
+            j = perm[k]
+            perm[k], perm[j] = perm[j], j
+            sign = -sign
+    return sign
 
-        def eliminate(below, c, pivot, prev):
-            inv = pow(pivot[c], -1, p)
-            # the matrices are sparse: only the pivot row's non-zeros move a row
-            tail = [(j, y) for j, y in enumerate(pivot[c + 1:], c + 1) if y]
-            for r in below:
-                if r[c]:
-                    f = r[c] * inv % p
-                    for j, y in tail:
-                        r[j] = (r[j] - f * y) % p
 
-    else:
-        p, scale, work = None, 1, []
-        for row in rows:
-            den = lcm(*(e.denominator for e in row))
-            scale *= den
-            work.append([e.numerator * (den // e.denominator) for e in row])
-
-        def eliminate(below, c, pivot, prev):
-            # every entry stays a minor of the matrix, so // divides exactly
-            pv, tail = pivot[c], pivot[c + 1:]
-            for r in below:
-                f = r[c]
-                if f:
-                    r[c + 1:] = [(pv * x - f * y) // prev for x, y in zip(r[c + 1:], tail)]
+def _sparse(p: int, rows: list, ncols: int) -> _Echelon:
+    """Forward elimination mod p of rows given as dicts {column: residue}
+    of their non-zero entries, reduced in place."""
+    # rows without a pivot, by their leftmost column: every column left of
+    # the current one has been cleared from all of them
+    waiting = {}
+    for i, row in enumerate(rows):
+        if row:
+            waiting.setdefault(min(row), []).append((i, row))
+    pivots, echelon, order = [], [], []
+    for c in range(ncols):
+        if not waiting:
+            break
+        holders = waiting.pop(c, None)
+        if holders is None:
+            continue
+        i, pivot = min(holders, key=lambda h: len(h[1]))
+        pivots.append(c)
+        echelon.append(pivot)
+        order.append(i)
+        if len(holders) == 1:
+            continue
+        inv = pow(pivot[c], -1, p)
+        tail = [(j, y) for j, y in pivot.items() if j != c]
+        for held in holders:
+            r = held[1]
+            if r is pivot:
+                continue
+            f = r.pop(c) * inv % p
+            for j, y in tail:
+                # r[j] is absent only when the new value f * y is non-zero
+                v = (r.get(j, 0) - f * y) % p
+                if v:
+                    r[j] = v
                 else:
-                    r[c + 1:] = [pv * x // prev if x else 0 for x in r[c + 1:]]
+                    del r[j]
+            if r:
+                waiting.setdefault(min(r), []).append(held)
+    return _Echelon(pivots, echelon, _permutation_sign(order), 1, p)
 
+
+def _integral(rows) -> tuple:
+    """Rational rows cleared to integers, each by its own common
+    denominator, and the product of those denominators."""
+    scale, work = 1, []
+    for row in rows:
+        den = lcm(*(e.denominator for e in row))
+        scale *= den
+        work.append([e.numerator * (den // e.denominator) for e in row])
+    return work, scale
+
+
+def _bareiss(work: list, scale: int, ncols: int) -> _Echelon:
+    """Fraction-free forward elimination of integer rows, in place."""
     pivots, echelon, sign, prev = [], [], 1, 1
     for c in range(ncols):
         if not work:
@@ -124,9 +170,24 @@ def _echelon(field, rows, ncols: int) -> _Echelon:
         pivot = work.pop(0)
         pivots.append(c)
         echelon.append(pivot)
-        eliminate(work, c, pivot, prev)
-        prev = pivot[c]
-    return _Echelon(pivots, echelon, sign, scale, p)
+        # every entry stays a minor of the matrix, so // divides exactly
+        pv, tail = pivot[c], pivot[c + 1:]
+        for r in work:
+            f = r[c]
+            if f:
+                r[c + 1:] = [(pv * x - f * y) // prev for x, y in zip(r[c + 1:], tail)]
+            else:
+                r[c + 1:] = [pv * x // prev if x else 0 for x in r[c + 1:]]
+        prev = pv
+    return _Echelon(pivots, echelon, sign, scale, None)
+
+
+def _echelon(field, rows, ncols: int) -> _Echelon:
+    """Forward elimination of ``rows`` (lists of field elements)."""
+    if isinstance(field, PrimeField):
+        residues = [{j: e.val for j, e in enumerate(row) if e.val} for row in rows]
+        return _sparse(field.p, residues, ncols)
+    return _bareiss(*_integral(rows), ncols)
 
 
 class Matrix:
@@ -209,7 +270,14 @@ class Matrix:
         return ech.minor()
 
     def rank(self) -> int:
-        return len(_echelon(self.field, self.rows, self.ncols).pivots)
+        if isinstance(self.field, PrimeField):
+            return len(_echelon(self.field, self.rows, self.ncols).pivots)
+        work, scale = _integral(self.rows)
+        residues = [{j: r for j, v in enumerate(row) if (r := v % _P)} for row in work]
+        rank = len(_sparse(_P, residues, self.ncols).pivots)
+        if rank == min(self.nrows, self.ncols):
+            return rank
+        return len(_bareiss(work, scale, self.ncols).pivots)
 
     def solve(self, rhs: "Matrix"):
         """A particular solution X of self @ X = rhs, or None if inconsistent.

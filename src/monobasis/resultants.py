@@ -30,18 +30,19 @@ __all__ = [
 ]
 
 
-def macaulay_matrix(sys: PolySystem, columns) -> Matrix:
+def macaulay_matrix(sys: PolySystem, target) -> Matrix:
     """Matrix of (p_1, ..., p_n) -> sum p_i f_i onto the given columns.
 
-    The columns are monomials of one degree t.  Row (i, b), for every
-    multiplier x^b with deg b = t - d_i, holds the coefficients of x^b f_i
-    on the columns; coefficients outside the columns are dropped.  So the
-    row space is the degree-t piece of the ideal, cut to the columns.  It
-    is the first Koszul map with the columns as its target.
+    The target is a list of (monomial, ()) pairs of one degree t, as
+    ``koszul_term(sys, t, 0, S)`` lists the degree-t monomials outside S.
+    Row (i, b), for every multiplier x^b with deg b = t - d_i, holds the
+    coefficients of x^b f_i on the target; coefficients outside it are
+    dropped.  So the row space is the degree-t piece of the ideal, cut to
+    the target.  It is the first Koszul map onto that target.
     """
-    # an empty column set has no degree and gets no rows
-    t = sum(columns[0]) if columns else 0
-    return koszul_map(sys, koszul_term(sys, t, 1), [(m, ()) for m in columns])
+    # an empty target has no degree and gets no rows
+    t = sum(target[0][0]) if target else 0
+    return koszul_map(sys, koszul_term(sys, t, 1), target)
 
 
 @functools.lru_cache(maxsize=64)

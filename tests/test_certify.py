@@ -288,6 +288,21 @@ def test_rank_oracle_matches_certificate_on_random_systems():
         assert verdicts == {True, False}
 
 
+def test_rank_oracle_over_q_is_exact_where_its_ranks_fall_short_mod_p():
+    """A coefficient equal to P = 2**62 - 57, the prime that ranks over Q
+    are first taken modulo.  Mod P the leading form of f1 vanishes and M0
+    is no basis; over Q, Res = P^2 and M0 is a basis, which the oracle can
+    only see through the exact elimination."""
+    p = 2**62 - 57
+    texts = [f"{p}*x1^2 + x2 - 1", "x2^2 - x1"]
+    M = m0_set((2, 2))
+    for field, res, basis in ((QQ, p**2, True), (GF(p), 0, False)):
+        sys_ = parsed_system(texts, (2, 2), field)
+        cert = certify_basis(sys_, M)
+        assert cert.res_value == res
+        assert cert.is_basis == rank_oracle(sys_, M) == basis
+
+
 # Macaulay's extraneous minor vanishes at rho+1..rho+3 on both systems;
 # the oracle decides by ranks alone, and the certificate, whose resultant
 # is a Koszul determinant, needs no such minor either.
@@ -355,6 +370,22 @@ def test_vandermonde_rejects_wrong_root_data():
 def test_certificate_agrees_with_the_oracle_on_every_small_question_over_f3():
     """Every 4-set of the 10 monomials of degree <= 3, for 10 seeded (2,2)
     systems over F_3: 2,100 questions, a fifth of them with Res = 0."""
-    counts = sweep((2, 2), 10)
+    counts = sweep((2, 2), 10, GF(3), range(3))
     assert counts.disagreements == []
     assert (counts.questions, counts.res_zero, counts.bases) == (2100, 420, 825)
+
+
+@pytest.mark.parametrize("field, coefficients, res_zero, bases", [
+    (GF(5), range(5), 420, 1272),
+    (QQ, range(-1, 2), 840, 957),
+], ids=["F5", "Q"])
+def test_certificate_agrees_with_the_oracle_on_every_small_question(
+    field, coefficients, res_zero, bases
+):
+    """The same 2,100 questions on (2,2) systems over F_5, coefficients from
+    all of F_5, and over Q, coefficients in -1..1, where the oracle's ranks
+    mod a prime fall short on every non-basis and the exact elimination
+    decides."""
+    counts = sweep((2, 2), 10, field, coefficients)
+    assert counts.disagreements == []
+    assert (counts.questions, counts.res_zero, counts.bases) == (2100, res_zero, bases)

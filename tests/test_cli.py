@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -279,6 +280,18 @@ def test_numbers_past_the_int_string_limit_are_parse_errors(
     assert capsys.readouterr().err == (
         f"parse error: {place}number too long ({limit + 1} digits) (at position {position})\n"
     )
+
+
+def test_results_past_the_int_string_limit_print_in_full(tmp_path, capsys):
+    """Res(-c x1^2, c x2) = -c^3 for a 3000-digit c has 9000 digits, past the
+    default int-string limit: it is printed in full, the limit unchanged."""
+    limit = sys.get_int_max_str_digits()
+    c = 2 * 10**2999 + 1
+    path = tmp_path / "long.txt"
+    path.write_text(f"degrees: 2,1\n-{c}*x1^2\n{c}*x2\n")
+    assert main(["resultant", "--field", "q", "--system", str(path)]) == 0
+    assert capsys.readouterr().out == f"res={Decimal(-c**3)}\n"
+    assert sys.get_int_max_str_digits() == limit
 
 
 @pytest.mark.parametrize("header", ["degrees: 2,x", "degrees:", "degrees: 0,2"])

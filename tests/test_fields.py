@@ -1,3 +1,6 @@
+import random
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -52,6 +55,22 @@ def test_rationals():
     assert QQ.of("2/4") == Fraction(1, 2)
     assert QQ.format(Fraction(-6, 4)) == "-3/2"
     assert QQ.zero == 0 and QQ.one == 1
+
+
+def test_rationals_of_any_length_format_exactly():
+    """str() of an int past the int-string limit raises; format does not,
+    and it leaves the limit alone."""
+    limit = sys.get_int_max_str_digits()
+    rng = random.Random(7)
+    for digits in (1, 599, 600, 601, 4301, 12000):
+        num = rng.randrange(10 ** (digits - 1), 10**digits)
+        den = rng.randrange(2, 10**rng.randrange(1, 3000))
+        for value in (Fraction(num), Fraction(-num, den)):
+            want = str(Decimal(value.numerator))
+            if value.denominator != 1:
+                want += "/" + str(Decimal(value.denominator))
+            assert QQ.format(value) == want
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_field_from_spec():

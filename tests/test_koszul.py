@@ -141,7 +141,7 @@ def test_first_differential_is_the_macaulay_matrix(field):
                 outside = [m for m in monomials_of_degree(sys_.nvars, t) if m not in S]
                 d1 = c.differentials[0]
                 assert (d1.nrows, d1.ncols) == (c.dims()[1], c.dims()[0])
-                assert d1 == macaulay_matrix(sys_, outside)
+                assert d1 == macaulay_matrix(sys_, [(m, ()) for m in outside])
 
 
 def test_a_missing_target_of_a_higher_map_is_a_bug():

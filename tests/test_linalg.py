@@ -8,6 +8,9 @@ import pytest
 from monobasis import GF, QQ, Matrix, NotFullRank, ShapeError, select_nonzero_maximal_minor
 
 F101 = GF(101)
+# the prime a rank over Q is proved modulo before any exact elimination
+P = 2**62 - 57
+FP = GF(P)
 
 
 def Mq(rows, ncols=None):
@@ -203,7 +206,7 @@ def cofactor_rank(rows, nrows, ncols, field):
     return 0
 
 
-FIELDS = pytest.mark.parametrize("field", [F101, QQ], ids=["F101", "Q"])
+FIELDS = pytest.mark.parametrize("field", [F101, FP, QQ], ids=["F101", "FP", "Q"])
 
 
 @FIELDS
@@ -284,3 +287,59 @@ def test_edge_shapes(field):
     assert (x.nrows, x.ncols) == (3, 2) and x.is_zero()
     assert three_by_zero.solve(Matrix(field, [[field.zero]] * 3)) == Matrix(field, [], ncols=1)
     assert three_by_zero.solve(Matrix(field, [[field.one], [field.zero], [field.zero]])) is None
+
+
+def unequal_rows(field, rng, nrows, ncols):
+    """Rows holding from one to all of their entries, so that the shortest
+    row holding a column is often not the first one."""
+    rows = []
+    for _ in range(nrows):
+        support = set(rng.sample(range(ncols), rng.randrange(1, ncols + 1)))
+        rows.append([field.of(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randrange(1, 4)))
+                     if j in support else field.zero for j in range(ncols)])
+    return rows
+
+
+@FIELDS
+def test_shortest_row_pivots_keep_the_values_and_signs(field):
+    """Mod p the pivot of a column is its shortest row, which permutes the
+    rows; the minor carries the sign of that permutation."""
+    rng = random.Random(f"unequal-{field.name}")
+    departures = 0
+    for _ in range(150):
+        nrows = rng.randrange(1, 6)
+        ncols = nrows + rng.randrange(0, 2)
+        rows = unequal_rows(field, rng, nrows, ncols)
+        holders = [i for i, r in enumerate(rows) if r[0]]
+        length = lambda i: sum(1 for e in rows[i] if e)
+        departures += bool(holders) and min(holders, key=length) != holders[0]
+        m = Matrix(field, rows, ncols=ncols)
+        if nrows == ncols:
+            assert m.det() == cofactor_det(rows, field.zero, field.one)
+        assert m.rank() == cofactor_rank(rows, nrows, ncols, field)
+        want = lex_first_minor(rows, nrows, ncols, "cols", field)
+        if want is None:
+            with pytest.raises(NotFullRank):
+                select_nonzero_maximal_minor(m)
+            continue
+        sel = select_nonzero_maximal_minor(m)
+        assert (sel.col_indices, sel.minor_value) == want
+    assert departures >= 25
+
+
+def test_rank_over_q_is_exact_where_it_is_short_mod_p():
+    """Entries that are multiples of P: the rank mod P falls short of full,
+    so the rank over Q, full or not, must come from the exact elimination."""
+    cases = [
+        ([[P, 0], [0, 1]], 2),
+        ([[P, 2 * P, 1], [3 * P, 5 * P, 1]], 2),
+        ([[Fraction(P, 2), Fraction(1, 3)], [Fraction(P, 5), Fraction(1, 7)]], 2),
+        ([[P, 0, 0], [0, 0, P]], 2),
+        ([[P, 0], [0, P], [P, P]], 2),
+        ([[P, 2 * P], [1, 2]], 1),
+    ]
+    for rows, rank in cases:
+        over_q = Mq(rows)
+        assert over_q.rank() == rank == cofactor_rank(over_q.rows, over_q.nrows, over_q.ncols, QQ)
+        mod_p = Matrix(FP, [[FP.of(x) for x in r] for r in over_q.rows])
+        assert mod_p.rank() < min(mod_p.nrows, mod_p.ncols)

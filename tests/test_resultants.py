@@ -248,7 +248,7 @@ def test_resultant_nonzero_iff_the_macaulay_map_is_onto(field):
             degrees,
         )
         top = monomials_of_degree(n, sum(degrees) - n + 1)
-        onto = macaulay_matrix(forms, top).rank() == len(top)
+        onto = macaulay_matrix(forms, [(m, ()) for m in top]).rank() == len(top)
         assert bool(resultant_macaulay(forms)) == onto
         seen.add(onto)
     assert seen == {True, False}
