@@ -1,28 +1,33 @@
 """Exact matrices over Q or F_p, on one elimination kernel.
 
 Determinant, rank, solve and the choice of a non-zero maximal minor are
-all read off one forward elimination to row echelon form, ``_echelon``.
+all read off one forward elimination to row echelon form, ``_eliminate``.
 Columns are taken left to right, so the pivot columns are exactly the
 columns that a left-to-right scan finds independent of those before it:
 they are the deterministic greedy choice of a non-zero maximal minor, and
-every run is reproducible.  Which arithmetic runs is decided once per call.
+every run is reproducible.
 
-Over F_p the kernel is sparse: each row is a dict {column: residue} of
-its non-zero entries, and the pivot of a column is the shortest remaining
-row that holds it, which keeps fill-in down on Macaulay matrices (the
-row rule of structured Gaussian elimination, LaMacchia and Odlyzko 1990).
-Which row is the pivot does not change the pivot columns.  The minor
-is the product of the pivots times the sign of the permutation that puts
-the pivot rows in pivot order.
+The kernel is sparse: each row is a dict {column: value} of its non-zero
+entries, residues mod p or, over Q, the row cleared to integers by its
+own common denominator.  The pivot of a column is the shortest remaining
+row that holds it, which keeps fill-in down on Macaulay matrices (the row
+rule of structured Gaussian elimination, LaMacchia and Odlyzko 1990).  It
+does not change the pivot columns; the minor carries the sign of the
+permutation that puts the pivot rows in pivot order.  Mod p the minor is
+the product of the pivots.  Over Z the update is Bareiss's fraction-free
+one (Math. Comp. 1968), applied lazily: a row skips the steps whose column
+it does not hold and keeps its level, the number of steps it was last
+brought up to.  At step k a holder r of level j becomes
+(pv * r - r[c] * pivot) // prev[j], prev[j] the pivot of step j, and a
+pivot row of a lower level is first scaled up to level k.  So every entry
+is the minor dense Bareiss would hold, every division is exact, and the
+last pivot is the minor of the row-scaled matrix.
 
-Over Q each row is first cleared to integers by its own common
-denominator.  Determinants, solutions and minors are fraction-free
-Gaussian elimination (Bareiss, Math. Comp. 1968), whose last pivot is the
-minor of the row-scaled matrix.  A rank first runs the sparse kernel on
-the integer rows mod the prime P = 2**62 - 57: the rank of an integer
-matrix mod P is at most its rank over Q, which is at most
-min(nrows, ncols), so a full rank mod P is the rank over Q.  Any other
-count is re-done by Bareiss, so every answer stays exact.
+A rank over Q first runs the kernel on the integer rows mod the prime
+P = 2**62 - 57: the rank of an integer matrix mod P is at most its rank
+over Q, which is at most min(nrows, ncols), so a full rank mod P is the
+rank over Q.  Any other count is re-done over Z, so every answer stays
+exact.
 """
 
 from __future__ import annotations
@@ -42,12 +47,8 @@ _P = 2**62 - 57
 
 @dataclass(frozen=True)
 class _Echelon:
-    """Row echelon form: pivots[k] is the pivot column of echelon row k.
-
-    Mod p each row is a dict of its non-zero entries, none left of its
-    pivot.  Over Z the rows keep their full width; entries left of a
-    row's pivot are stale and never read.
-    """
+    """Row echelon form: pivots[k] is the pivot column of echelon row k,
+    a dict of its non-zero entries, none left of its pivot."""
 
     pivots: list
     rows: list
@@ -75,10 +76,10 @@ class _Echelon:
         x = {}  # pivot column -> its row of X (times d over Z)
         for c, row in zip(reversed(self.pivots), reversed(self.rows)):
             acc = [0] * k
-            for j, f in row.items() if p else enumerate(row):
+            for j, f in row.items():
                 if j >= m:
                     acc[j - m] += d * f
-                elif f and j in x:
+                elif j in x:
                     acc = [a - f * y for a, y in zip(acc, x[j])]
             if p:
                 inv = pow(row[c], -1, p)
@@ -103,91 +104,90 @@ def _permutation_sign(order: list) -> int:
     return sign
 
 
-def _sparse(p: int, rows: list, ncols: int) -> _Echelon:
-    """Forward elimination mod p of rows given as dicts {column: residue}
-    of their non-zero entries, reduced in place."""
+def _eliminate(rows: list, ncols: int, p=None, scale: int = 1) -> _Echelon:
+    """Forward elimination, in place, of dict rows of residues mod the
+    prime p, or of integers (rational rows times ``scale``) if p is None."""
     # rows without a pivot, by their leftmost column: every column left of
-    # the current one has been cleared from all of them
+    # the current one has been cleared from all of them; each waits with
+    # its level, the number of pivot steps it was last brought up to
     waiting = {}
     for i, row in enumerate(rows):
         if row:
-            waiting.setdefault(min(row), []).append((i, row))
-    pivots, echelon, order = [], [], []
+            waiting.setdefault(min(row), []).append((i, row, 0))
+    pivots, echelon, order, prev = [], [], [], [1]  # prev[k]: pivot of step k
     for c in range(ncols):
         if not waiting:
             break
         holders = waiting.pop(c, None)
         if holders is None:
             continue
-        i, pivot = min(holders, key=lambda h: len(h[1]))
+        i, pivot, level = min(holders, key=lambda h: len(h[1]))
+        k = len(pivots)
+        if p is None and level < k:
+            # the steps this row skipped only scaled it, each entry exactly
+            for j, y in pivot.items():
+                pivot[j] = y * prev[k] // prev[level]
         pivots.append(c)
         echelon.append(pivot)
         order.append(i)
+        pv = pivot[c]
+        prev.append(pv)
         if len(holders) == 1:
             continue
-        inv = pow(pivot[c], -1, p)
         tail = [(j, y) for j, y in pivot.items() if j != c]
-        for held in holders:
-            r = held[1]
+        inv = pow(pv, -1, p) if p else None
+        for row_i, r, row_level in holders:
             if r is pivot:
                 continue
-            f = r.pop(c) * inv % p
-            for j, y in tail:
-                # r[j] is absent only when the new value f * y is non-zero
-                v = (r.get(j, 0) - f * y) % p
-                if v:
-                    r[j] = v
-                else:
-                    del r[j]
+            f = r.pop(c)
+            if p:
+                f = f * inv % p
+                for j, y in tail:
+                    # r[j] is absent only when the new value f * y is non-zero
+                    v = (r.get(j, 0) - f * y) % p
+                    if v:
+                        r[j] = v
+                    else:
+                        del r[j]
+            else:
+                # Bareiss from the holder's level: each new entry is a minor
+                # of the matrix, so // divides exactly and never gives zero
+                for j in r:
+                    r[j] *= pv
+                for j, y in tail:
+                    v = r.get(j, 0) - f * y
+                    if v:
+                        r[j] = v
+                    else:
+                        del r[j]
+                d = prev[row_level]
+                if d != 1:
+                    for j in r:
+                        r[j] //= d
             if r:
-                waiting.setdefault(min(r), []).append(held)
-    return _Echelon(pivots, echelon, _permutation_sign(order), 1, p)
+                waiting.setdefault(min(r), []).append((row_i, r, k + 1))
+    return _Echelon(pivots, echelon, _permutation_sign(order), scale, p)
 
 
 def _integral(rows) -> tuple:
-    """Rational rows cleared to integers, each by its own common
-    denominator, and the product of those denominators."""
+    """Rational rows as dicts of their non-zero entries, each cleared to
+    integers by its own common denominator, and the product of those
+    denominators."""
     scale, work = 1, []
     for row in rows:
         den = lcm(*(e.denominator for e in row))
         scale *= den
-        work.append([e.numerator * (den // e.denominator) for e in row])
+        work.append({j: e.numerator * (den // e.denominator) for j, e in enumerate(row) if e})
     return work, scale
-
-
-def _bareiss(work: list, scale: int, ncols: int) -> _Echelon:
-    """Fraction-free forward elimination of integer rows, in place."""
-    pivots, echelon, sign, prev = [], [], 1, 1
-    for c in range(ncols):
-        if not work:
-            break
-        k = next((i for i, r in enumerate(work) if r[c]), None)
-        if k is None:
-            continue
-        if k:
-            work[0], work[k] = work[k], work[0]
-            sign = -sign
-        pivot = work.pop(0)
-        pivots.append(c)
-        echelon.append(pivot)
-        # every entry stays a minor of the matrix, so // divides exactly
-        pv, tail = pivot[c], pivot[c + 1:]
-        for r in work:
-            f = r[c]
-            if f:
-                r[c + 1:] = [(pv * x - f * y) // prev for x, y in zip(r[c + 1:], tail)]
-            else:
-                r[c + 1:] = [pv * x // prev if x else 0 for x in r[c + 1:]]
-        prev = pv
-    return _Echelon(pivots, echelon, sign, scale, None)
 
 
 def _echelon(field, rows, ncols: int) -> _Echelon:
     """Forward elimination of ``rows`` (lists of field elements)."""
     if isinstance(field, PrimeField):
         residues = [{j: e.val for j, e in enumerate(row) if e.val} for row in rows]
-        return _sparse(field.p, residues, ncols)
-    return _bareiss(*_integral(rows), ncols)
+        return _eliminate(residues, ncols, field.p)
+    work, scale = _integral(rows)
+    return _eliminate(work, ncols, None, scale)
 
 
 class Matrix:
@@ -272,12 +272,12 @@ class Matrix:
     def rank(self) -> int:
         if isinstance(self.field, PrimeField):
             return len(_echelon(self.field, self.rows, self.ncols).pivots)
-        work, scale = _integral(self.rows)
-        residues = [{j: r for j, v in enumerate(row) if (r := v % _P)} for row in work]
-        rank = len(_sparse(_P, residues, self.ncols).pivots)
+        work, _ = _integral(self.rows)
+        residues = [{j: r for j, v in row.items() if (r := v % _P)} for row in work]
+        rank = len(_eliminate(residues, self.ncols, _P).pivots)
         if rank == min(self.nrows, self.ncols):
             return rank
-        return len(_bareiss(work, scale, self.ncols).pivots)
+        return len(_eliminate(work, self.ncols).pivots)
 
     def solve(self, rhs: "Matrix"):
         """A particular solution X of self @ X = rhs, or None if inconsistent.
@@ -300,9 +300,9 @@ class Matrix:
 
 @dataclass(frozen=True)
 class MinorSelection:
-    """A non-zero maximal minor: sorted index sets and its determinant."""
+    """A non-zero maximal minor of a map with full row rank: its sorted
+    column indices (the rows are all of them) and its determinant."""
 
-    row_indices: tuple
     col_indices: tuple
     minor_value: object
 
@@ -317,4 +317,4 @@ def select_nonzero_maximal_minor(m: Matrix) -> MinorSelection:
         raise NotFullRank(
             f"no non-zero maximal minor ({len(ech.pivots)} of {m.nrows} rows independent)"
         )
-    return MinorSelection(tuple(range(m.nrows)), tuple(ech.pivots), ech.minor())
+    return MinorSelection(tuple(ech.pivots), ech.minor())

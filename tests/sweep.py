@@ -7,10 +7,15 @@ both ways.  Over F_3, with coefficients from all of F_3, the leading
 forms' resultant vanishes and non-bases are common, so the zero paths of
 both tests run as often as the generic one; over Q, with coefficients in
 -1..1, the ranks are taken mod a prime first and the exact elimination
-runs whenever they fall short.
+over Z runs whenever they fall short.  Given a prime ``modulus``, a Q
+sweep certifies every question once more over F_modulus, on the same
+system with its coefficients reduced, and Res and Delta there must be the
+Q values reduced: the two fields run the elimination kernel's two
+arithmetics against each other.
 
-The tier-1 suite runs the (2,2) sweeps over F_3, F_5 and Q; the larger
-(2,3) sweep over F_3, 50,050 questions, runs as a script::
+The tier-1 suite runs the (2,2) sweeps over F_3, F_5 and Q, the last one
+also over F_101; the larger (2,3) sweeps over F_3 and over Q, 50,050
+questions each, run as a script that exits 1 on any disagreement::
 
     PYTHONPATH=src python tests/sweep.py
 """
@@ -21,6 +26,7 @@ import sys
 
 from monobasis import (
     GF,
+    QQ,
     DegreeProfile,
     MonomialSet,
     MultiPoly,
@@ -36,7 +42,8 @@ class SweepCounts:
     questions: int = 0
     res_zero: int = 0
     bases: int = 0
-    disagreements: list = dataclasses.field(default_factory=list)  # (seed, monomials)
+    # (seed, monomials, "oracle" or the modulus whose Res or Delta differs)
+    disagreements: list = dataclasses.field(default_factory=list)
 
 
 def seeded_system(seed: int, degrees, field, coefficients) -> PolySystem:
@@ -51,12 +58,15 @@ def seeded_system(seed: int, degrees, field, coefficients) -> PolySystem:
     return PolySystem(polys, tuple(degrees))
 
 
-def sweep(degrees, nsystems: int, field, coefficients) -> SweepCounts:
+def sweep(degrees, nsystems: int, field, coefficients, modulus=None) -> SweepCounts:
     profile = DegreeProfile(degrees)
     pool = [m for e in range(profile.rho + 2) for m in monomials_of_degree(profile.n, e)]
     counts = SweepCounts()
+    fp = GF(modulus) if modulus else None
     for seed in range(nsystems):
         sys_ = seeded_system(seed, degrees, field, coefficients)
+        # the same draws, so the same system with its coefficients reduced
+        reduced = seeded_system(seed, degrees, fp, coefficients) if fp else None
         for chosen in itertools.combinations(pool, profile.bezout):
             M = MonomialSet(chosen)
             cert = certify_basis(sys_, M)
@@ -64,11 +74,18 @@ def sweep(degrees, nsystems: int, field, coefficients) -> SweepCounts:
             counts.res_zero += not cert.res_value
             counts.bases += cert.is_basis
             if rank_oracle(sys_, M) != cert.is_basis:
-                counts.disagreements.append((seed, chosen))
+                counts.disagreements.append((seed, chosen, "oracle"))
+            if fp:
+                mod = certify_basis(reduced, M)
+                if (mod.res_value, mod.delta_value) != (
+                    fp.of(cert.res_value), fp.of(cert.delta_value)
+                ):
+                    counts.disagreements.append((seed, chosen, modulus))
     return counts
 
 
 if __name__ == "__main__":
-    result = sweep((2, 3), 10, GF(3), range(3))
-    print(result)
-    sys.exit(1 if result.disagreements else 0)
+    results = [sweep((2, 3), 10, GF(3), range(3)), sweep((2, 3), 10, QQ, range(-1, 2))]
+    for result in results:
+        print(result)
+    sys.exit(1 if any(result.disagreements for result in results) else 0)

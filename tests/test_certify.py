@@ -292,7 +292,7 @@ def test_rank_oracle_over_q_is_exact_where_its_ranks_fall_short_mod_p():
     """A coefficient equal to P = 2**62 - 57, the prime that ranks over Q
     are first taken modulo.  Mod P the leading form of f1 vanishes and M0
     is no basis; over Q, Res = P^2 and M0 is a basis, which the oracle can
-    only see through the exact elimination."""
+    only see through the elimination over the integers."""
     p = 2**62 - 57
     texts = [f"{p}*x1^2 + x2 - 1", "x2^2 - x1"]
     M = m0_set((2, 2))
@@ -375,17 +375,18 @@ def test_certificate_agrees_with_the_oracle_on_every_small_question_over_f3():
     assert (counts.questions, counts.res_zero, counts.bases) == (2100, 420, 825)
 
 
-@pytest.mark.parametrize("field, coefficients, res_zero, bases", [
-    (GF(5), range(5), 420, 1272),
-    (QQ, range(-1, 2), 840, 957),
+@pytest.mark.parametrize("field, coefficients, modulus, res_zero, bases", [
+    (GF(5), range(5), None, 420, 1272),
+    (QQ, range(-1, 2), 101, 840, 957),
 ], ids=["F5", "Q"])
 def test_certificate_agrees_with_the_oracle_on_every_small_question(
-    field, coefficients, res_zero, bases
+    field, coefficients, modulus, res_zero, bases
 ):
     """The same 2,100 questions on (2,2) systems over F_5, coefficients from
     all of F_5, and over Q, coefficients in -1..1, where the oracle's ranks
     mod a prime fall short on every non-basis and the exact elimination
-    decides."""
-    counts = sweep((2, 2), 10, field, coefficients)
+    over Z decides.  Each Q question is certified once more over F_101 on
+    the reduced system, and its Res and Delta must be the Q values mod 101."""
+    counts = sweep((2, 2), 10, field, coefficients, modulus)
     assert counts.disagreements == []
     assert (counts.questions, counts.res_zero, counts.bases) == (2100, res_zero, bases)
