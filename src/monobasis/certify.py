@@ -323,12 +323,12 @@ def multiplication_matrix(
     if x is None:
         raise InputError("reduction system inconsistent despite a basis certificate")
     products = [homogenize(MultiPoly.monomial(field, m) * g, t) for m in M]
-    reduced = Matrix(
-        field, [[p.coefficient(o) for o, _ in outside] for p in products], ncols=len(outside)
-    ) @ x
+    column = {o: j for j, (o, _) in enumerate(outside)}
+    rows = [{column[o]: c for o, c in p.terms.items() if o in column} for p in products]
+    reduced = Matrix(field, rows, ncols=len(outside)) @ x
     bmat = Matrix(
         field,
-        [[p.coefficient(u) - r[i] for p, r in zip(products, reduced.rows)]
+        [[p.coefficient(u) - reduced[j, i] for j, p in enumerate(products)]
          for i, u in enumerate(basis)],
         ncols=len(products),
     )

@@ -65,9 +65,9 @@ def decompose_ascending(c: GradedComplex) -> DecompositionTrace:
     minors = []
     for k in range(1, c.s + 1):
         d = c.differentials[k - 1]
-        transposed = Matrix(c.field, [[row[j] for row in d.rows] for j in cols], ncols=dims[k])
+        transposed = [{i: row[j] for i, row in enumerate(d.rows) if j in row} for j in cols]
         try:
-            sel = select_nonzero_maximal_minor(transposed)
+            sel = select_nonzero_maximal_minor(Matrix(c.field, transposed, ncols=dims[k]))
         except NotFullRank:
             raise NotExact(f"stage {k}: restricted differential is not onto") from None
         minors.append(sel)

@@ -13,9 +13,10 @@ the determinant of the complex by a global sign.
 
 ``koszul_term`` lists each term as (monomial, wedge) pairs, and every
 differential, the Macaulay matrix included, is ``koszul_map`` between two
-such lists, in Macaulay's layout: one row per source element holding its image on the
-target elements.  So the first map is Macaulay's matrix of the P_i on the
-degree-t monomials outside S.
+such lists, in Macaulay's layout: one row per source element holding its
+image on the target elements, as a dict of its non-zero entries.  So the
+first map is Macaulay's matrix of the P_i on the degree-t monomials
+outside S.
 """
 from __future__ import annotations
 
@@ -63,13 +64,12 @@ def koszul_map(sys: PolySystem, source, target) -> Matrix:
     """The map between two sequences of (monomial, wedge) pairs: row r is
     the image of source[r].  Image terms of wedge () outside ``target`` are
     dropped (the last map's projection); any other miss is a bug."""
-    zero = sys.field.zero
     index = {}  # wedge -> monomial -> column
     for j, (m, wedge) in enumerate(target):
         index.setdefault(wedge, {})[m] = j
     rows = []
     for a, wedge in source:
-        row = [zero] * len(target)
+        row = {}
         for j, i in enumerate(wedge):
             rest = wedge[:j] + wedge[j + 1 :]
             cols = index.get(rest) or {}

@@ -7,10 +7,11 @@ columns that a left-to-right scan finds independent of those before it:
 they are the deterministic greedy choice of a non-zero maximal minor, and
 every run is reproducible.
 
-The kernel is sparse: each row is a dict {column: value} of its non-zero
-entries, residues mod p or, over Q, the row cleared to integers by its
-own common denominator.  The pivot of a column is the shortest remaining
-row that holds it, which keeps fill-in down on Macaulay matrices (the row
+Every matrix is sparse, from the Koszul builder through to the kernel: a
+row is a dict {column: value} of its non-zero entries.  The kernel only
+maps the values: to residues mod p or, over Q, to integers by the row's
+common denominator.  The pivot of a column is the shortest remaining row
+that holds it, which keeps fill-in down on Macaulay matrices (the row
 rule of structured Gaussian elimination, LaMacchia and Odlyzko 1990).  It
 does not change the pivot columns; the minor carries the sign of the
 permutation that puts the pivot rows in pivot order.  Mod p the minor is
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 
 from .errors import NotFullRank, ShapeError
@@ -66,30 +68,30 @@ class _Echelon:
         last = self.rows[-1][self.pivots[-1]] if self.rows else 1
         return Fraction(self.sign * last, self.scale)
 
-    def solution(self, m: int, k: int) -> list:
-        """Rows of X with A X = B for the eliminated [A | B] (A has m
-        columns, B has k), free variables zero; needs no pivot in B."""
+    def solution(self, m: int) -> list:
+        """Dict rows of X with A X = B for the eliminated [A | B] (A has m
+        columns), free variables zero; needs no pivot in B."""
         p = self.p
         # over Z, d * X is integral for d the last pivot (Cramer's rule on
         # the pivot rows), so the back-substitution divides exactly
         d = 1 if p or not self.rows else self.rows[-1][self.pivots[-1]]
-        x = {}  # pivot column -> its row of X (times d over Z)
+        x = {}  # pivot column -> its dict row of X (times d over Z)
         for c, row in zip(reversed(self.pivots), reversed(self.rows)):
-            acc = [0] * k
+            acc = {}
             for j, f in row.items():
                 if j >= m:
-                    acc[j - m] += d * f
-                elif j in x:
-                    acc = [a - f * y for a, y in zip(acc, x[j])]
+                    acc[j - m] = acc.get(j - m, 0) + d * f
+                else:
+                    for l, y in x.get(j, {}).items():
+                        acc[l] = acc.get(l, 0) - f * y
             if p:
                 inv = pow(row[c], -1, p)
-                x[c] = [a * inv % p for a in acc]
+                x[c] = {l: v for l, a in acc.items() if (v := a * inv % p)}
             else:
-                x[c] = [a // row[c] for a in acc]
-        zero = [0] * k
+                x[c] = {l: a // row[c] for l, a in acc.items() if a}
         if p:
-            return [[FpElement(v, p) for v in x.get(c, zero)] for c in range(m)]
-        return [[Fraction(v, d) for v in x.get(c, zero)] for c in range(m)]
+            return [{l: FpElement(v, p) for l, v in x.get(c, {}).items()} for c in range(m)]
+        return [{l: Fraction(v, d) for l, v in x.get(c, {}).items()} for c in range(m)]
 
 
 def _permutation_sign(order: list) -> int:
@@ -170,57 +172,58 @@ def _eliminate(rows: list, ncols: int, p=None, scale: int = 1) -> _Echelon:
 
 
 def _integral(rows) -> tuple:
-    """Rational rows as dicts of their non-zero entries, each cleared to
-    integers by its own common denominator, and the product of those
-    denominators."""
+    """Rational dict rows, each cleared to integers by its own common
+    denominator, and the product of those denominators."""
     scale, work = 1, []
     for row in rows:
-        den = lcm(*(e.denominator for e in row))
+        # folded, not lcm(*...): short argument tuples would pile up in the
+        # interpreter's tuple free lists until a full collection
+        den = reduce(lcm, (e.denominator for e in row.values()), 1)
         scale *= den
-        work.append({j: e.numerator * (den // e.denominator) for j, e in enumerate(row) if e})
+        work.append({j: e.numerator * (den // e.denominator) for j, e in row.items()})
     return work, scale
 
 
 def _echelon(field, rows, ncols: int) -> _Echelon:
-    """Forward elimination of ``rows`` (lists of field elements)."""
+    """Forward elimination of dict rows of field elements."""
     if isinstance(field, PrimeField):
-        residues = [{j: e.val for j, e in enumerate(row) if e.val} for row in rows]
-        return _eliminate(residues, ncols, field.p)
+        return _eliminate([{j: e.val for j, e in row.items()} for row in rows], ncols, field.p)
     work, scale = _integral(rows)
     return _eliminate(work, ncols, None, scale)
 
 
 class Matrix:
-    """Immutable dense matrix."""
+    """Immutable sparse matrix: ``rows[i]`` is a dict {column: value} of
+    the non-zero entries of row i.  List rows, as matrices are written by
+    hand, are stored without their zeros.  Dict rows, as the library's
+    builders make them, are stored as given, without a copy: they hold
+    non-zero values only, in columns 0..ncols-1, and need ``ncols``.
+    """
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field, rows, ncols=None):
-        rows = [list(r) for r in rows]
+        rows = list(rows)
+        if ncols is None:
+            if not rows or isinstance(rows[0], dict):
+                raise ShapeError("matrix needs an explicit column count")
+            ncols = len(rows[0])
+        if any(not isinstance(r, dict) and len(r) != ncols for r in rows):
+            raise ShapeError("row length disagrees with the column count")
         self.field = field
         self.nrows = len(rows)
-        if rows:
-            self.ncols = len(rows[0])
-            if ncols is not None and ncols != self.ncols:
-                raise ShapeError("explicit ncols disagrees with row data")
-        else:
-            if ncols is None:
-                raise ShapeError("empty matrix needs an explicit column count")
-            self.ncols = ncols
-        if any(len(r) != self.ncols for r in rows):
-            raise ShapeError("ragged rows")
-        self.rows = rows
+        self.ncols = ncols
+        self.rows = [r if isinstance(r, dict) else {j: e for j, e in enumerate(r) if e} for r in rows]
 
     # -- constructors -------------------------------------------------
     @classmethod
     def identity(cls, field, n):
-        z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls(field, [{i: field.one} for i in range(n)], n)
 
     # -- basics -------------------------------------------------------
     def __getitem__(self, key):
         i, j = key
-        return self.rows[i][j]
+        return self.rows[i].get(range(self.ncols)[j], self.field.zero)
 
     def __eq__(self, other):
         return (
@@ -232,32 +235,27 @@ class Matrix:
         )
 
     def is_zero(self) -> bool:
-        return all(not e for row in self.rows for e in row)
+        return not any(self.rows)
 
     def submatrix(self, row_idx, col_idx) -> "Matrix":
-        row_idx = list(row_idx)
         col_idx = list(col_idx)
-        return Matrix(
-            self.field,
-            [[self.rows[i][j] for j in col_idx] for i in row_idx],
-            ncols=len(col_idx),
-        )
+        new = {}  # old column -> its new columns, repeats included
+        for k, j in enumerate(col_idx):
+            new.setdefault(range(self.ncols)[j], []).append(k)
+        rows = [{k: e for j, e in self.rows[i].items() for k in new.get(j, ())} for i in row_idx]
+        return Matrix(self.field, rows, ncols=len(col_idx))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ShapeError("inner dimensions disagree")
         z = self.field.zero
         out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = z
-                for k in range(self.ncols):
-                    a = self.rows[i][k]
-                    if a:
-                        acc = acc + a * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
+        for row in self.rows:
+            acc = {}
+            for k, a in row.items():
+                for j, b in other.rows[k].items():
+                    acc[j] = acc.get(j, z) + a * b
+            out.append({j: v for j, v in acc.items() if v})
         return Matrix(self.field, out, ncols=other.ncols)
 
     # -- exact linear algebra ------------------------------------------
@@ -288,11 +286,11 @@ class Matrix:
         if rhs.nrows != self.nrows:
             raise ShapeError("right-hand side has the wrong number of rows")
         m, k = self.ncols, rhs.ncols
-        aug = [a + b for a, b in zip(self.rows, rhs.rows)]
+        aug = [{**a, **{m + j: e for j, e in b.items()}} for a, b in zip(self.rows, rhs.rows)]
         ech = _echelon(self.field, aug, m + k)
         if ech.pivots and ech.pivots[-1] >= m:
             return None
-        return Matrix(self.field, ech.solution(m, k), ncols=k)
+        return Matrix(self.field, ech.solution(m), ncols=k)
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field.name})"

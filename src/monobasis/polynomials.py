@@ -31,10 +31,10 @@ def monomials_of_degree(nvars: int, d: int) -> list:
     """All monomials of total degree d in nvars variables, in ``mono_key``
     order, which the recursion below yields as it goes.
 
-    Every caller lays them out along one side of a dense matrix with about
-    as many entries on the other side (a Macaulay matrix or a Koszul
-    differential), so a count N with N * N > sys.maxsize is refused before
-    anything is listed: no 64-bit address space holds that many entries.
+    Every caller eliminates a matrix with one row or column per monomial
+    and about as many the other way (a Macaulay or Koszul matrix), whose
+    fill-in can reach N * N entries; so a count N with N * N > sys.maxsize,
+    more than any 64-bit address space holds, is refused before listing.
     """
     if d < 0:
         return []
@@ -42,7 +42,7 @@ def monomials_of_degree(nvars: int, d: int) -> list:
         raise InputError("need at least one variable")
     if math.comb(d + nvars - 1, nvars - 1) ** 2 > sys.maxsize:
         raise InputError(
-            f"too many monomials of degree {d} in {nvars} variables for a dense matrix"
+            f"too many monomials of degree {d} in {nvars} variables to eliminate"
         )
 
     def gen(rest, deg):

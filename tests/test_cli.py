@@ -152,7 +152,7 @@ def test_cli_huge_exponents(grid22, capsys):
                  "--monomials", "x1^99999999999,x1,x2,x1*x2", "--oracle"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
-    # far below sys.maxsize monomials, but too many for a dense matrix
+    # far below sys.maxsize monomials, but too many to eliminate
     for e in (10**9, 99999):
         assert main(["basis-check", "--field", "q", "--system", grid22,
                      "--monomials", f"x1^{e},x1,x2,x1*x2"]) == 2

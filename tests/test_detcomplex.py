@@ -157,7 +157,7 @@ def permutation_sign(perm) -> int:
 def permuted(c, perms):
     """c with term k's basis reordered: new element j is old perms[k][j]."""
     diffs = tuple(
-        Matrix(c.field, [[d.rows[i][j] for j in perms[k - 1]] for i in perms[k]],
+        Matrix(c.field, [[d[i, j] for j in perms[k - 1]] for i in perms[k]],
                ncols=len(perms[k - 1]))
         for k, d in enumerate(c.differentials, start=1)
     )

@@ -144,6 +144,23 @@ def test_first_differential_is_the_macaulay_matrix(field):
                 assert d1 == macaulay_matrix(sys_, [(m, ()) for m in outside])
 
 
+@pytest.mark.parametrize("field", [QQ, F101], ids=["Q", "F101"])
+def test_differentials_store_only_their_nonzero_entries(field):
+    """A row of the k-th map images one x^a e_I, |I| = k: it holds at most
+    k * max #terms(f_i) entries, and each one it holds is non-zero."""
+    rng = random.Random(29)
+    for degrees in ((2, 2), (3, 2), (2, 2, 2)):
+        for terms_per_degree in (None, 1):
+            hom = affine_draw(rng, field, degrees, terms_per_degree).homogenized()
+            terms = max(len(f.terms) for f in hom.polys)
+            M = m0_set(degrees)
+            c = build_complex(hom, M.delta + 1, M.homogenized_at(M.delta + 1))
+            for k, d in enumerate(c.differentials, start=1):
+                for row in d.rows:
+                    assert all(row.values()) and len(row) <= k * terms
+                    assert all(0 <= j < d.ncols for j in row)
+
+
 def test_a_missing_target_of_a_higher_map_is_a_bug():
     sys_ = homog_random(random.Random(3), F101, (2, 2))
     c = build_complex(sys_, 4, [])

@@ -122,7 +122,8 @@ def test_minor_selection_rank_deficient():
 
 
 def transposed(m):
-    return Matrix(m.field, [[r[j] for r in m.rows] for j in range(m.ncols)], ncols=m.nrows)
+    return Matrix(m.field, [[m[i, j] for i in range(m.nrows)] for j in range(m.ncols)],
+                  ncols=m.nrows)
 
 
 def test_minor_selection_rows_axis():
@@ -341,8 +342,9 @@ def test_rank_over_q_is_exact_where_it_is_short_mod_p():
     ]
     for rows, rank in cases:
         over_q = Mq(rows)
-        assert over_q.rank() == rank == cofactor_rank(over_q.rows, over_q.nrows, over_q.ncols, QQ)
-        mod_p = Matrix(FP, [[FP.of(x) for x in r] for r in over_q.rows])
+        entries = [[over_q[i, j] for j in range(over_q.ncols)] for i in range(over_q.nrows)]
+        assert over_q.rank() == rank == cofactor_rank(entries, over_q.nrows, over_q.ncols, QQ)
+        mod_p = Matrix(FP, [[FP.of(x) for x in r] for r in entries])
         assert mod_p.rank() < min(mod_p.nrows, mod_p.ncols)
 
 
@@ -373,7 +375,8 @@ def spread_rows(rng, nrows, ncols):
 
 
 def reduced(m, field):
-    return Matrix(field, [[field.of(x) for x in r] for r in m.rows], ncols=m.ncols)
+    return Matrix(field, [[field.of(m[i, j]) for j in range(m.ncols)] for i in range(m.nrows)],
+                  ncols=m.ncols)
 
 
 def test_q_determinants_and_minors_reduce_to_the_fp_ones():
@@ -417,3 +420,78 @@ def test_solve_over_q_on_large_sparse_consistent_systems():
         b = a @ x0
         x = a.solve(b)
         assert x is not None and a @ x == b
+
+
+# ---------------------------------------------------------------------------
+# the sparse layout: rows are dicts of the non-zero entries, and every
+# operation agrees with the same matrix written out in full
+
+
+def dense(m):
+    return [[m[i, j] for j in range(m.ncols)] for i in range(m.nrows)]
+
+
+def dense_product(a, b, zero):
+    return [[sum((x * y for x, y in zip(r, col)), zero) for col in zip(*b)] for r in a]
+
+
+@pytest.mark.parametrize("field", [F7, QQ], ids=["F7", "Q"])
+def test_list_rows_and_dict_rows_make_the_same_matrix(field):
+    rng = random.Random(f"layout-{field.name}")
+    for _ in range(50):
+        nrows, ncols = rng.randrange(0, 5), rng.randrange(1, 6)
+        rows = [[field.of(rng.choice((0, 0, 1, -2))) for _ in range(ncols)] for _ in range(nrows)]
+        sparse = [{j: e for j, e in enumerate(r) if e} for r in rows]
+        m = Matrix(field, rows, ncols=ncols)
+        assert m == Matrix(field, sparse, ncols=ncols)
+        assert m.rows == sparse and dense(m) == rows
+        assert m.is_zero() == (not any(map(any, rows)))
+    m = Matrix(field, [{1: field.one}], ncols=3)
+    assert m[0, 0] == field.zero and m[0, 1] == field.one and m[0, -2] == field.one
+    for key in ((0, 3), (0, -4), (1, 0)):
+        with pytest.raises(IndexError):
+            m[key]
+    with pytest.raises(ShapeError):
+        Matrix(field, [{0: field.one}])
+
+
+@pytest.mark.parametrize("field", [F7, QQ], ids=["F7", "Q"])
+def test_products_drop_the_entries_that_cancel(field):
+    """Entries in -1..1 make many products cancel; the product stores
+    none of those zeros, and its det and rank are those of the dense
+    product."""
+    rng = random.Random(f"matmul-{field.name}")
+    cancelled = 0
+    for _ in range(60):
+        n, inner = rng.randrange(1, 5), rng.randrange(1, 5)
+        a = [[field.of(rng.randrange(-1, 2)) for _ in range(inner)] for _ in range(n)]
+        b = [[field.of(rng.randrange(-1, 2)) for _ in range(n)] for _ in range(inner)]
+        want = dense_product(a, b, field.zero)
+        got = Matrix(field, a) @ Matrix(field, b)
+        assert all(v for row in got.rows for v in row.values())
+        assert got == Matrix(field, want) and dense(got) == want
+        assert got.det() == cofactor_det(want, field.zero, field.one)
+        assert got.rank() == cofactor_rank(want, n, n, field)
+        cancelled += sum(
+            1 for r, w in zip(a, want) for j, v in enumerate(w)
+            if not v and any(x * b[k][j] for k, x in enumerate(r))
+        )
+    assert cancelled > 0
+
+
+def test_submatrix_repeats_and_reorders_columns():
+    """A column index may repeat and come in any order: each occurrence
+    is a column of its own, as in the dense slice."""
+    rng = random.Random(17)
+    for _ in range(50):
+        nrows, ncols = rng.randrange(1, 5), rng.randrange(1, 6)
+        rows = [[F7.of(rng.choice((0, 0, 1, 3))) for _ in range(ncols)] for _ in range(nrows)]
+        m = Matrix(F7, rows)
+        ri = [rng.randrange(nrows) for _ in range(rng.randrange(0, 5))]
+        ci = [rng.randrange(ncols) for _ in range(rng.randrange(0, 7))]
+        want = Matrix(F7, [[rows[i][j] for j in ci] for i in ri], ncols=len(ci))
+        assert m.submatrix(ri, ci) == want
+    m = Matrix(F7, [[F7.of(1), F7.of(2)]])
+    assert dense(m.submatrix([0, 0], [1, 0, 1])) == [[F7.of(2), F7.of(1), F7.of(2)]] * 2
+    with pytest.raises(IndexError):
+        m.submatrix([0], [2])
