@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from monobasis import GF, MultiPoly, PolySystem, monomials_of_degree
+from monobasis import GF, Matrix, MultiPoly, PolySystem, monomials_of_degree
 
 F101 = GF(101)
 
@@ -36,3 +36,7 @@ def random_system(rng, field, degrees, homogeneous=False):
         for i, d in enumerate(degrees)
     ]
     return PolySystem(polys, tuple(degrees))
+
+
+def identity_matrix(field, n):
+    return Matrix(field, [{i: field.one} for i in range(n)], n)

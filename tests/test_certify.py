@@ -31,7 +31,7 @@ from monobasis import (
 from monobasis.certify import m1_set
 from monobasis.cli import parse_poly
 
-from conftest import random_system
+from conftest import identity_matrix, random_system
 from sweep import sweep
 
 F13 = GF(13)
@@ -163,7 +163,7 @@ def test_multiplication_by_one_is_identity():
     sys_, _ = power_system(F13, (2, 2), [1, 1])
     M = m0_set((2, 2))
     mm = multiplication_matrix(sys_, M, MultiPoly.constant(F13, 2, 1))
-    assert mm.matrix == Matrix.identity(F13, 4)
+    assert mm.matrix == identity_matrix(F13, 4)
     assert mm.kernel_dim == 0
 
 
@@ -199,6 +199,29 @@ def test_multiplication_matrix_charpoly_via_roots():
             ],
         )
         assert shifted.det() == F13.zero
+
+
+@pytest.mark.parametrize("field", [F13, QQ], ids=["F13", "Q"])
+def test_multiplication_matrix_det_after_its_rank(field):
+    """The kernel dimension ranks the same matrix that det later
+    eliminates; neither may change its rows, and det(B) is prod g(root)."""
+    rng = random.Random(f"mulmat-{field.name}")
+    sys_, roots = power_system(field, (2, 2), [2, 3])
+    M = m0_set((2, 2))
+    # x1 - 2 vanishes on two roots, so its rank is short
+    gs = [MultiPoly.variable(field, 2, 0) - MultiPoly.constant(field, 2, 2)]
+    gs += [MultiPoly(field, 2, {m: field.of(rng.randrange(-4, 5))
+                                for d in range(3) for m in monomials_of_degree(2, d)})
+           for _ in range(3)]
+    for g in gs:
+        mm = multiplication_matrix(sys_, M, g)
+        rows = [dict(r) for r in mm.matrix.rows]
+        want = field.one
+        for pt in roots:
+            want = want * g.evaluate(pt)
+        assert mm.det() == want
+        assert mm.matrix.rows == rows
+        assert mm.kernel_dim == sum(1 for pt in roots if not g.evaluate(pt))
 
 
 def test_multiplication_needs_certified_basis():

@@ -5,7 +5,21 @@ from fractions import Fraction
 
 import pytest
 
-from monobasis import GF, QQ, Matrix, NotFullRank, ShapeError, select_nonzero_maximal_minor
+from monobasis import (
+    GF,
+    QQ,
+    DegreeProfile,
+    Matrix,
+    NotFullRank,
+    ShapeError,
+    m0_set,
+    select_nonzero_maximal_minor,
+)
+from monobasis.koszul import koszul_term
+from monobasis.linalg import _eliminate, _integral, _rank_mod
+from monobasis.resultants import macaulay_matrix
+
+from conftest import identity_matrix, random_system
 
 F101 = GF(101)
 F7 = GF(7)
@@ -46,7 +60,7 @@ def test_det_matches_cofactor_oracle(field):
 
 
 def test_det_identity_and_empty():
-    assert Matrix.identity(QQ, 4).det() == 1
+    assert identity_matrix(QQ, 4).det() == 1
     assert Matrix(QQ, [], ncols=0).det() == 1
 
 
@@ -495,3 +509,163 @@ def test_submatrix_repeats_and_reorders_columns():
     assert dense(m.submatrix([0, 0], [1, 0, 1])) == [[F7.of(2), F7.of(1), F7.of(2)]] * 2
     with pytest.raises(IndexError):
         m.submatrix([0], [2])
+
+
+# ---------------------------------------------------------------------------
+# rank with a free pivot against the left-to-right kernel, on matrices too
+# large for the cofactor oracle
+
+F3 = GF(3)
+
+
+def left_to_right_rank(m):
+    """The pivot count of the kernel that takes the columns in order, over
+    Z for Q, so that it proves nothing mod P."""
+    if m.field is QQ:
+        return len(_eliminate(_integral(m.rows)[0], m.ncols).pivots)
+    return len(_eliminate([{j: e.val for j, e in r.items()} for r in m.rows], m.ncols,
+                          m.field.p).pivots)
+
+
+def dependent_rows(field, rng, nrows, ncols):
+    """Sparse dict rows of one to six entries, a third of them zero rows,
+    copies of other rows or sums of two or three other rows, shuffled."""
+    if field is QQ:
+        entry = lambda: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randrange(1, 5))
+    else:
+        entry = lambda: field.of(rng.randrange(1, field.p))
+    rows = []
+    for _ in range(nrows - nrows // 3):
+        support = rng.sample(range(ncols), rng.randrange(1, min(6, ncols) + 1))
+        rows.append({j: entry() for j in support})
+    while len(rows) < nrows:
+        kind = rng.choice(("zero", "copy", "sum", "sum"))
+        if kind == "zero":
+            rows.append({})
+        elif kind == "copy":
+            rows.append(dict(rng.choice(rows)))
+        else:
+            acc = {}
+            for row in rng.sample(rows, rng.randrange(2, 4)):
+                c = entry()
+                for j, e in row.items():
+                    acc[j] = acc.get(j, field.zero) + c * e
+            rows.append({j: e for j, e in acc.items() if e})
+    rng.shuffle(rows)
+    return rows
+
+
+def random_shape(rng):
+    kind = rng.choice(("tall", "wide", "square"))
+    if kind == "square":
+        n = rng.randrange(20, 81)
+        return n, n
+    small = rng.randrange(20, 61)
+    large = rng.randrange(small + 5, 81)
+    return (large, small) if kind == "tall" else (small, large)
+
+
+class LoggedRow(dict):
+    """A row that counts the entries set again after they cancelled."""
+
+    def __init__(self, items, log):
+        super().__init__(items)
+        self.log = log
+        self.cancelled = set()
+
+    def __delitem__(self, j):
+        super().__delitem__(j)
+        self.cancelled.add(j)
+
+    def __setitem__(self, j, v):
+        if j in self.cancelled and j not in self:
+            self.log.append(j)
+        super().__setitem__(j, v)
+
+
+@pytest.mark.parametrize("field", [F3, F101, FP], ids=["F3", "F101", "FP"])
+def test_free_pivot_rank_matches_the_left_to_right_kernel_mod_p(field):
+    rng = random.Random(f"free-pivot-{field.name}")
+    shapes, short, refilled = set(), 0, []
+    for _ in range(40):
+        nrows, ncols = random_shape(rng)
+        if rng.random() < 0.3:
+            # mostly of full rank
+            nrows, ncols = sorted((nrows, ncols))
+            rows = [[field.of(e.numerator) for e in r] for r in spread_rows(rng, nrows, ncols)]
+        else:
+            rows = dependent_rows(field, rng, nrows, ncols)
+        shapes.add((nrows > ncols) - (nrows < ncols))
+        m = Matrix(field, rows, ncols)
+        rank = m.rank()
+        assert rank == left_to_right_rank(m)
+        short += rank < min(nrows, ncols)
+        logged = [LoggedRow({j: e.val for j, e in r.items()}, refilled) for r in m.rows]
+        assert _rank_mod(logged, field.p) == rank
+    assert shapes == {-1, 0, 1} and 20 <= short <= 35
+    if field is F3:
+        # F_3 cancels often: some entry cancels and is filled in again
+        assert refilled
+
+
+def test_free_pivot_rank_over_q_by_proof_and_by_fallback():
+    """A full rank mod P is the proof.  Short ones go through the exact
+    fallback, and so do the mostly full spread matrices with a row that is
+    a multiple of P."""
+    rng = random.Random("free-pivot-Q")
+    proved = fallback = lifted = 0
+    for _ in range(30):
+        nrows, ncols = random_shape(rng)
+        if rng.random() < 0.5:
+            nrows, ncols = sorted((nrows, ncols))
+            rows = spread_rows(rng, nrows, ncols)
+            if rng.random() < 0.5:
+                i = rng.randrange(nrows)
+                rows[i] = [e * P for e in rows[i]]
+        else:
+            rows = dependent_rows(QQ, rng, nrows, ncols)
+        m = Matrix(QQ, rows, ncols)
+        rank = m.rank()
+        assert rank == left_to_right_rank(m)
+        full, mod_p = min(nrows, ncols), reduced(m, FP).rank()
+        proved += mod_p == full
+        fallback += mod_p < full
+        lifted += mod_p < rank == full
+    assert proved >= 5 and fallback >= 10 and lifted >= 3
+
+
+def test_rank_oracle_matrices_keep_their_rank():
+    """The two Macaulay matrices ``rank_oracle`` ranks, for a dense
+    (3,2,2,2) system over F_101 and its set M0."""
+    degrees = (3, 2, 2, 2)
+    sys_ = random_system(random.Random(3222), F101, degrees)
+    M = m0_set(degrees)
+    rho = DegreeProfile(degrees).rho
+    forms, hom = sys_.leading_forms(), sys_.homogenized()
+    top = koszul_term(forms, rho + 1, 0)
+    outside = koszul_term(hom, max(M.delta, rho), 0, M.homogenized_at(max(M.delta, rho)))
+    for m in (macaulay_matrix(forms, top), macaulay_matrix(hom, outside)):
+        assert m.nrows > m.ncols
+        assert m.rank() == left_to_right_rank(m) == m.ncols
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=["F101", "Q"])
+def test_linear_algebra_leaves_the_rows_alone(field):
+    """Dict rows are stored without a copy and every kernel eliminates in
+    place, so each operation must eliminate a copy."""
+    rng = random.Random(f"snapshot-{field.name}")
+    for _ in range(12):
+        n = rng.randrange(6, 16)
+        for nrows, ncols in ((n, n), (n + 3, n), (n, n + 3)):
+            m = Matrix(field, dependent_rows(field, rng, nrows, ncols), ncols)
+            rhs = Matrix(field, dependent_rows(field, rng, nrows, 2), 2)
+            before = [dict(r) for r in m.rows], [dict(r) for r in rhs.rows]
+            m.rank()
+            if nrows == ncols:
+                m.det()
+            m.solve(rhs)
+            try:
+                select_nonzero_maximal_minor(m)
+            except NotFullRank:
+                pass
+            assert (m.rows, rhs.rows) == before
