@@ -1,41 +1,42 @@
-"""Exact matrices over Q or F_p: one elimination kernel, and a free-pivot rank.
+"""Exact matrices over Q or F_p: one free-pivot kernel, and the
+left-to-right elimination that solves and picks lexicographic minors.
 
-Determinant, solve and the choice of a non-zero maximal minor are all
-read off one forward elimination to row echelon form, ``_eliminate``.
-Columns are taken left to right, so the pivot columns are exactly the
-columns that a left-to-right scan finds independent of those before it:
-they are the deterministic greedy choice of a non-zero maximal minor, and
-every run is reproducible.  The minors' lexicographic choice and their
-signs depend on that order.
+Every matrix is sparse, from the Koszul builder through to the kernels: a
+row is a dict {column: value} of its non-zero entries.  A kernel only maps
+the values: to residues mod p or, over Q, to integers by the row's common
+denominator.  Mod p a minor is the product of the pivots.  Over Z the
+update is Bareiss's fraction-free one (Math. Comp. 1968), applied lazily:
+a row skips the steps whose column it does not hold and keeps its level,
+the number of steps it was last brought up to.  At step k a holder r of
+level j becomes (pv * r - r[c] * pivot) // prev[j], prev[j] the pivot of
+step j, and a pivot row of a lower level is first scaled up to level k.
+So every entry is the minor dense Bareiss would hold, every division is
+exact, and the last pivot is the minor of the row-scaled matrix.
 
-Every matrix is sparse, from the Koszul builder through to the kernel: a
-row is a dict {column: value} of its non-zero entries.  The kernel only
-maps the values: to residues mod p or, over Q, to integers by the row's
-common denominator.  The pivot of a column is the shortest remaining row
-that holds it, which keeps fill-in down on Macaulay matrices (the row
-rule of structured Gaussian elimination, LaMacchia and Odlyzko 1990).  It
-does not change the pivot columns; the minor carries the sign of the
-permutation that puts the pivot rows in pivot order.  Mod p the minor is
-the product of the pivots.  Over Z the update is Bareiss's fraction-free
-one (Math. Comp. 1968), applied lazily: a row skips the steps whose column
-it does not hold and keeps its level, the number of steps it was last
-brought up to.  At step k a holder r of level j becomes
-(pv * r - r[c] * pivot) // prev[j], prev[j] the pivot of step j, and a
-pivot row of a lower level is first scaled up to level k.  So every entry
-is the minor dense Bareiss would hold, every division is exact, and the
-last pivot is the minor of the row-scaled matrix.
+Rank, determinant and the certificate's stage minors run on ``_pivot``,
+the free-pivot kernel.  Its pivot is the shortest remaining row, at its
+entry in the column the fewest remaining rows hold (a cheap Markowitz
+rule, Markowitz 1957), which fills in far less than the column order on
+Macaulay and Koszul matrices; each pivot row is dropped once applied.  A
+rank and a determinant name no columns, so their pivot order is free.  A
+maximal minor chosen this way (``free_pivot_minor``) is signed by both the
+row and the column permutation that put its pivots in step order; the
+descending decomposition's value does not depend on which minor it is.
 
-A rank is only a count, with no pivot columns in its answer, so only the
-rank may leave the left-to-right order.  ``_rank_mod`` takes it mod a
-prime, pivoting on the shortest remaining row at its entry in the column
-the fewest remaining rows hold (a cheap Markowitz rule, Markowitz 1957),
-which fills in far less on the tall Macaulay matrices of the rank oracle.
+A rank over Q is first taken mod the prime P = 2**62 - 57: the rank of an
+integer matrix mod P is at most its rank over Q, which is at most
+min(nrows, ncols), so a full rank mod P is the rank over Q.  Any other
+count is re-done by the same kernel over Z, so every answer stays exact.
 
-A rank over Q is first taken by ``_rank_mod`` on the integer rows mod the
-prime P = 2**62 - 57: the rank of an integer matrix mod P is at most its
-rank over Q, which is at most min(nrows, ncols), so a full rank mod P is
-the rank over Q.  Any other count is re-done by ``_eliminate`` over Z, so
-every answer stays exact.
+``_eliminate`` takes the columns left to right, so its pivot columns are
+exactly the columns a left-to-right scan finds independent of those
+before it.  The pivot of a column is the shortest remaining row that holds
+it (the row rule of structured Gaussian elimination, LaMacchia and Odlyzko
+1990), which does not change the pivot columns; the minor carries the sign
+of the row permutation.  It serves ``solve``, whose free variables are the
+non-pivot columns, and ``select_nonzero_maximal_minor``, the
+lexicographically first non-zero maximal minor: the ascending
+decomposition's selector and the tests' reference.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from math import lcm
 from .errors import NotFullRank, ShapeError
 from .fields import FpElement, PrimeField
 
-__all__ = ["Matrix", "MinorSelection", "select_nonzero_maximal_minor"]
+__all__ = ["Matrix", "MinorSelection", "free_pivot_minor", "select_nonzero_maximal_minor"]
 
 # the largest prime below 2**62: a rank over Q is proved modulo it first
 _P = 2**62 - 57
@@ -179,13 +180,16 @@ def _eliminate(rows: list, ncols: int, p=None, scale: int = 1) -> _Echelon:
     return _Echelon(pivots, echelon, _permutation_sign(order), scale, p)
 
 
-def _rank_mod(rows: list, p: int) -> int:
-    """Rank of dict rows of residues mod the prime p, eliminated in place.
+def _pivot(rows: list, p=None) -> tuple:
+    """The free-pivot kernel: forward elimination, in place, of dict rows
+    of residues mod the prime p, or of integers if p is None.
 
     The pivot is the shortest remaining row, at its entry in the column the
-    fewest remaining rows hold (Markowitz's rule, cheaply): a rank has no
-    pivot columns in its answer, so any pivot order will do, and this one
-    keeps fill-in down.  A pivot row is dropped once it has been applied.
+    fewest remaining rows hold (Markowitz's rule, cheaply), and a pivot row
+    is dropped once it has been applied.  Over Z the update is Bareiss's,
+    by lazy levels as in ``_eliminate``.  Returns the pivot rows and the
+    pivot columns in step order, and the minor on them in that order: the
+    product of the pivots mod p, the last pivot over Z.
     """
     count = {}  # column -> the number of remaining rows holding it
     holders = {}  # column -> the rows that have held it, since-cleared ones too
@@ -201,7 +205,9 @@ def _rank_mod(rows: list, p: int) -> int:
             buckets.setdefault(len(row), []).append(i)
     lengths = list(buckets)  # a heap of the keys of buckets
     heapify(lengths)
-    rank = 0
+    level = [0] * len(rows)  # over Z: the pivot steps each row was brought up to
+    prev = [1]  # over Z, prev[k]: the pivot of step k
+    order, cols, factor = [], [], 1
     while count:
         n = lengths[0]
         bucket = buckets[n]
@@ -213,42 +219,76 @@ def _rank_mod(rows: list, p: int) -> int:
         if n != len(pivot):
             continue
         c = min(pivot, key=count.__getitem__)
-        rank += 1
+        k = len(cols)
+        if p is None and level[i] < k:
+            # the steps this row skipped only scaled it, each entry exactly
+            d = prev[level[i]]
+            for j, y in pivot.items():
+                pivot[j] = y * prev[k] // d
+        order.append(i)
+        cols.append(c)
         rows[i] = {}  # dropped: its entries in the buckets are all stale now
         del count[c]
         tail = [(j, y) for j, y in pivot.items() if j != c]
         for j, _ in tail:
             count[j] -= 1
-        inv = pow(pivot[c], -1, p)
-        for k in holders.pop(c):
-            r = rows[k]
+        pv = pivot[c]
+        if p:
+            factor = factor * pv % p
+            inv = pow(pv, -1, p)
+        else:
+            prev.append(pv)
+        for h in holders.pop(c):
+            r = rows[h]
             f = r.pop(c, None)
             if f is None:  # cleared since, or listed twice
                 continue
-            f = f * inv % p
-            for j, y in tail:
-                v = r.get(j)
-                if v is None:
-                    # a fill-in: f * y is non-zero mod the prime p
-                    r[j] = -f * y % p
-                    count[j] += 1
-                    holders[j].append(k)
-                elif v := (v - f * y) % p:
-                    r[j] = v
-                else:
-                    del r[j]
-                    count[j] -= 1
+            if p:
+                f = f * inv % p
+                for j, y in tail:
+                    v = r.get(j)
+                    if v is None:
+                        # a fill-in: f * y is non-zero mod the prime p
+                        r[j] = -f * y % p
+                        count[j] += 1
+                        holders[j].append(h)
+                    elif v := (v - f * y) % p:
+                        r[j] = v
+                    else:
+                        del r[j]
+                        count[j] -= 1
+            else:
+                # Bareiss from the holder's level: each new entry is a minor
+                # of the matrix, so // divides exactly and never gives zero
+                for j in r:
+                    r[j] *= pv
+                for j, y in tail:
+                    v = r.get(j)
+                    if v is None:
+                        r[j] = -f * y
+                        count[j] += 1
+                        holders[j].append(h)
+                    elif v := v - f * y:
+                        r[j] = v
+                    else:
+                        del r[j]
+                        count[j] -= 1
+                d = prev[level[h]]
+                if d != 1:
+                    for j in r:
+                        r[j] //= d
+                level[h] = k + 1
             if r:
                 n = len(r)
                 if n in buckets:
-                    buckets[n].append(k)
+                    buckets[n].append(h)
                 else:
-                    buckets[n] = [k]
+                    buckets[n] = [h]
                     heappush(lengths, n)
         for j, _ in tail:
             if not count[j]:
                 del count[j], holders[j]
-    return rank
+    return order, cols, factor if p else prev[-1]
 
 
 def _integral(rows) -> tuple:
@@ -270,6 +310,24 @@ def _echelon(field, rows, ncols: int) -> _Echelon:
         return _eliminate([{j: e.val for j, e in row.items()} for row in rows], ncols, field.p)
     work, scale = _integral(rows)
     return _eliminate(work, ncols, None, scale)
+
+
+def _minor(field, rows) -> tuple:
+    """The free-pivot kernel on a copy of dict rows of field elements: its
+    pivot columns, sorted, and the minor on every row and those columns,
+    or None in its place when the rows are dependent."""
+    p = field.p if isinstance(field, PrimeField) else None
+    if p:
+        order, cols, factor = _pivot([{j: e.val for j, e in row.items()} for row in rows], p)
+    else:
+        work, scale = _integral(rows)
+        order, cols, factor = _pivot(work)
+    chosen = tuple(sorted(cols))
+    if len(order) < len(rows):
+        return chosen, None
+    # the kernel's minor has its rows and columns in step order
+    sign = _permutation_sign(order) * _permutation_sign(cols)
+    return chosen, FpElement(sign * factor % p, p) if p else Fraction(sign * factor, scale)
 
 
 class Matrix:
@@ -337,25 +395,22 @@ class Matrix:
     def det(self):
         if self.nrows != self.ncols:
             raise ShapeError("determinant of a non-square matrix")
-        ech = _echelon(self.field, self.rows, self.ncols)
-        if len(ech.pivots) < self.nrows:
-            return self.field.zero
-        return ech.minor()
+        value = _minor(self.field, self.rows)[1]
+        return self.field.zero if value is None else value
 
     def rank(self) -> int:
-        """The rank, by ``_rank_mod``'s free pivot: the shortest remaining
-        row, at its least-held column.  Unlike a minor, a rank names no
-        columns, so its pivot order is free.  Over Q a rank mod P short of
-        min(nrows, ncols) is re-done exactly, by ``_eliminate`` over Z."""
+        """The rank, by the free-pivot kernel.  Over Q it is taken mod P
+        first; a rank mod P short of min(nrows, ncols) is re-done exactly,
+        by the same kernel over Z."""
         if isinstance(self.field, PrimeField):
             residues = [{j: e.val for j, e in row.items()} for row in self.rows]
-            return _rank_mod(residues, self.field.p)
+            return len(_pivot(residues, self.field.p)[1])
         work, _ = _integral(self.rows)
         residues = [{j: r for j, v in row.items() if (r := v % _P)} for row in work]
-        rank = _rank_mod(residues, _P)
+        rank = len(_pivot(residues, _P)[1])
         if rank == min(self.nrows, self.ncols):
             return rank
-        return len(_eliminate(work, self.ncols).pivots)
+        return len(_pivot(work)[1])
 
     def solve(self, rhs: "Matrix"):
         """A particular solution X of self @ X = rhs, or None if inconsistent.
@@ -396,3 +451,15 @@ def select_nonzero_maximal_minor(m: Matrix) -> MinorSelection:
             f"no non-zero maximal minor ({len(ech.pivots)} of {m.nrows} rows independent)"
         )
     return MinorSelection(tuple(ech.pivots), ech.minor())
+
+
+def free_pivot_minor(m: Matrix) -> MinorSelection:
+    """A non-zero maximal minor of a map that is onto (full row rank):
+    every row and the pivot columns of the free-pivot kernel, whose choice
+    follows the matrix's sparsity rather than the column order.  Raises
+    NotFullRank when the rows are dependent.
+    """
+    cols, value = _minor(m.field, m.rows)
+    if value is None:
+        raise NotFullRank(f"no non-zero maximal minor ({len(cols)} of {m.nrows} rows independent)")
+    return MinorSelection(cols, value)

@@ -13,14 +13,17 @@ from monobasis import (
     MonomialSet,
     MultiPoly,
     NotExact,
+    NotFullRank,
     PolySystem,
     build_complex,
     decompose_ascending,
     decompose_descending,
     m0_set,
     monomials_of_degree,
+    select_nonzero_maximal_minor,
 )
 from monobasis.hilbert import DegreeProfile, hilbert_H
+from monobasis.resultants import _diagonal_sign
 from monobasis.subresultants import required_cardinality
 
 F101 = GF(101)
@@ -282,3 +285,77 @@ def test_empty_and_non_square_last_stages(field):
     for tr in (asc, desc):
         assert len(tr.stage_minors) == c.s
         assert all(isinstance(sel, MinorSelection) for sel in tr.stage_minors)
+
+
+def lexicographic_descending(c):
+    """The signed descending decomposition with every stage's minor chosen
+    by the lexicographic selector, each signed by its columns' shuffle."""
+    dims = c.dims()
+    rows = list(range(dims[c.s]))
+    dets = []
+    for k in range(c.s, 0, -1):
+        try:
+            sel = select_nonzero_maximal_minor(c.differentials[k - 1].submatrix(rows, range(dims[k - 1])))
+        except NotFullRank:
+            raise NotExact(f"stage {k}") from None
+        cols = sel.col_indices
+        odd = (sum(cols) - len(cols) * (len(cols) - 1) // 2) % 2
+        dets.append(-sel.minor_value if odd else sel.minor_value)
+        rows = [j for j in range(dims[k - 1]) if j not in cols]
+    if rows:
+        raise NotExact("leftover basis elements")
+    delta = c.field.one
+    for i, d in enumerate(reversed(dets)):
+        delta = delta * d if i % 2 == 0 else delta / d
+    return delta
+
+
+def sparse_affine(rng, field, degrees):
+    """f_i = x_i^{d_i} plus one to three terms of degree at most d_i with
+    coefficients in -3..3 (zero mod 3 included)."""
+    n = len(degrees)
+    polys = []
+    for i, d in enumerate(degrees):
+        pool = [m for e in range(d + 1) for m in monomials_of_degree(n, e)]
+        terms = {m: field.of(rng.randrange(-3, 4)) for m in rng.sample(pool, rng.randrange(1, 4))}
+        terms[tuple(d if j == i else 0 for j in range(n))] = field.one
+        polys.append(MultiPoly(field, n, {m: e for m, e in terms.items() if e}))
+    return PolySystem(polys, tuple(degrees))
+
+
+@pytest.mark.parametrize("field", [GF(3), F101, QQ], ids=["F3", "F101", "Q"])
+def test_free_pivot_descending_equals_the_lexicographic_one(field):
+    """The free-pivot stage minors give the same signed value as the
+    lexicographic ones, not just the same up to sign, and fail on the same
+    complexes: homogenized dense and sparse systems at t = max(rho, delta(M))
+    and one above, with M0 and with random sets, their leading forms' resultant complexes,
+    and the pure powers behind the resultant's sign."""
+    rng = random.Random(f"free-descending-{field.name}")
+    complexes = []
+    for degrees in ((2, 2), (3, 2), (2, 2, 2), (3, 2, 2), (2, 2, 2, 2)):
+        n, rho = len(degrees), sum(degrees) - len(degrees)
+        monos = [m for e in range(rho + 2) for m in monomials_of_degree(n, e)]
+        for make in (affine_random, sparse_affine, sparse_affine):
+            sys_ = make(rng, field, degrees)
+            hom = sys_.homogenized()
+            for M in (m0_set(degrees), MonomialSet(rng.sample(monos, math.prod(degrees)))):
+                for t in (max(rho, M.delta), max(rho, M.delta) + 1):
+                    complexes.append(build_complex(hom, t, M.homogenized_at(t)))
+            complexes.append(build_complex(sys_.leading_forms(), rho + 1, ()))
+    exact = 0
+    for c in complexes:
+        try:
+            want = lexicographic_descending(c)
+        except NotExact:
+            with pytest.raises(NotExact):
+                decompose_descending(c)
+            continue
+        assert decompose_descending(c).delta == want
+        exact += 1
+    assert exact >= 35 and len(complexes) - exact >= 10
+    for degrees in ((2, 2), (3, 2), (2, 3), (2, 2, 2), (3, 2, 2), (2, 3, 2)):
+        forms = PolySystem([MultiPoly.monomial(field, tuple(d if j == i else 0 for j in range(len(degrees))))
+                            for i, d in enumerate(degrees)], degrees)
+        c = build_complex(forms, sum(degrees) - len(degrees) + 1, ())
+        value = decompose_descending(c).delta
+        assert value == lexicographic_descending(c) == field.of(_diagonal_sign(degrees))

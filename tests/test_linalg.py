@@ -16,7 +16,7 @@ from monobasis import (
     select_nonzero_maximal_minor,
 )
 from monobasis.koszul import koszul_term
-from monobasis.linalg import _eliminate, _integral, _rank_mod
+from monobasis.linalg import _eliminate, _integral, _pivot, free_pivot_minor
 from monobasis.resultants import macaulay_matrix
 
 from conftest import identity_matrix, random_system
@@ -298,6 +298,10 @@ def test_edge_shapes(field):
         select_nonzero_maximal_minor(three_by_zero)
     with pytest.raises(NotFullRank):
         select_nonzero_maximal_minor(transposed(zero_by_three))
+    sel = free_pivot_minor(zero_by_three)
+    assert (sel.col_indices, sel.minor_value) == ((), field.one)
+    with pytest.raises(NotFullRank):
+        free_pivot_minor(three_by_zero)
     x = zero_by_three.solve(Matrix(field, [], ncols=2))
     assert (x.nrows, x.ncols) == (3, 2) and x.is_zero()
     assert three_by_zero.solve(Matrix(field, [[field.zero]] * 3)) == Matrix(field, [], ncols=1)
@@ -527,13 +531,16 @@ def left_to_right_rank(m):
                           m.field.p).pivots)
 
 
+def nonzero_entry(field, rng):
+    if field is QQ:
+        return lambda: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randrange(1, 5))
+    return lambda: field.of(rng.randrange(1, field.p))
+
+
 def dependent_rows(field, rng, nrows, ncols):
     """Sparse dict rows of one to six entries, a third of them zero rows,
     copies of other rows or sums of two or three other rows, shuffled."""
-    if field is QQ:
-        entry = lambda: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randrange(1, 5))
-    else:
-        entry = lambda: field.of(rng.randrange(1, field.p))
+    entry = nonzero_entry(field, rng)
     rows = []
     for _ in range(nrows - nrows // 3):
         support = rng.sample(range(ncols), rng.randrange(1, min(6, ncols) + 1))
@@ -601,7 +608,7 @@ def test_free_pivot_rank_matches_the_left_to_right_kernel_mod_p(field):
         assert rank == left_to_right_rank(m)
         short += rank < min(nrows, ncols)
         logged = [LoggedRow({j: e.val for j, e in r.items()}, refilled) for r in m.rows]
-        assert _rank_mod(logged, field.p) == rank
+        assert len(_pivot(logged, field.p)[1]) == rank
     assert shapes == {-1, 0, 1} and 20 <= short <= 35
     if field is F3:
         # F_3 cancels often: some entry cancels and is filled in again
@@ -664,8 +671,87 @@ def test_linear_algebra_leaves_the_rows_alone(field):
             if nrows == ncols:
                 m.det()
             m.solve(rhs)
-            try:
-                select_nonzero_maximal_minor(m)
-            except NotFullRank:
-                pass
+            for select in (select_nonzero_maximal_minor, free_pivot_minor):
+                try:
+                    select(m)
+                except NotFullRank:
+                    pass
             assert (m.rows, rhs.rows) == before
+
+
+# ---------------------------------------------------------------------------
+# the free-pivot minor against the cofactor oracle and the lexicographic
+# selector
+
+
+def kernel_steps(m):
+    """The free-pivot kernel's pivot rows and columns, in step order, on a
+    copy of m (over Z for Q)."""
+    if m.field is QQ:
+        return _pivot(_integral(m.rows)[0])[:2]
+    return _pivot([{j: e.val for j, e in r.items()} for r in m.rows], m.field.p)[:2]
+
+
+def lower_level_pivots(m, order, cols):
+    """Replays the kernel's steps by Gaussian elimination on m written out
+    in full, and counts the pivot rows that did not hold the column of the
+    step before theirs: over Z those are scaled up from a lower Bareiss
+    level before they serve."""
+    rows, held, lower = dense(m), set(), 0
+    for k, (i, c) in enumerate(zip(order, cols)):
+        lower += k > 0 and i not in held
+        pivot = rows[i]
+        held = {h for h, r in enumerate(rows) if r[c]}
+        inv = m.field.one / pivot[c]
+        for h in held - {i}:
+            f = rows[h][c] * inv
+            rows[h] = [x - f * y for x, y in zip(rows[h], pivot)]
+        rows[i] = [m.field.zero] * m.ncols
+    return lower
+
+
+@pytest.mark.parametrize("field", [F3, F101, FP, QQ], ids=["F3", "F101", "FP", "Q"])
+def test_free_pivot_minor_is_the_minor_on_its_columns(field):
+    """Small sparse matrices against the cofactor oracle, larger ones with
+    rows spread over the columns against the left-to-right kernel, and rows
+    with copies, sums and zero rows, which both selectors must reject."""
+    rng = random.Random(f"free-minor-{field.name}")
+    entry = nonzero_entry(field, rng)
+    checked = lower = 0
+    for trial in range(60):
+        kind = ("small", "spread", "dependent")[trial % 3]
+        if kind == "small":
+            nrows = rng.randrange(1, 6)
+            ncols = nrows + rng.randrange(0, 4)
+            rows = [{j: entry() for j in rng.sample(range(ncols), rng.randrange(1, ncols + 1))}
+                    for _ in range(nrows)]
+        elif kind == "spread":
+            nrows = rng.randrange(8, 31)
+            ncols = nrows + rng.randrange(0, 6)
+            rows = spread_rows(rng, nrows, ncols)
+            if field is not QQ:
+                rows = [[field.of(e.numerator) for e in r] for r in rows]
+        else:
+            nrows = rng.randrange(6, 31)
+            ncols = nrows + rng.randrange(0, 8)
+            rows = dependent_rows(field, rng, nrows, ncols)
+        m = Matrix(field, rows, ncols)
+        try:
+            want = select_nonzero_maximal_minor(m)
+        except NotFullRank:
+            with pytest.raises(NotFullRank):
+                free_pivot_minor(m)
+            continue
+        assert kind != "dependent"
+        sel = free_pivot_minor(m)
+        assert len(sel.col_indices) == len(want.col_indices) == nrows
+        assert list(sel.col_indices) == sorted(set(sel.col_indices))
+        sub = m.submatrix(range(nrows), sel.col_indices)
+        if nrows <= 6:
+            value = cofactor_det(dense(sub), field.zero, field.one)
+        else:
+            value = select_nonzero_maximal_minor(sub).minor_value
+        assert sel.minor_value == sub.det() == value != field.zero
+        checked += 1
+        lower += lower_level_pivots(m, *kernel_steps(m))
+    assert checked >= 20 and lower >= 30
