@@ -17,15 +17,27 @@ such lists, in Macaulay's layout: one row per source element holding its
 image on the target elements, as a dict of its non-zero entries.  So the
 first map is Macaulay's matrix of the P_i on the degree-t monomials
 outside S.
+
+The lists hold tuple monomials, but ``koszul_map`` multiplies on int
+codes: for one call it picks a radix b above every exponent of a source
+monomial times a term of some P_i, and codes x^a as
+sum_k a_k b^k + (deg a) b^v.  Then x^a x^c has the code code(a) + code(c),
+so each entry costs one int addition and one dict read instead of
+building and hashing a product tuple.  The top digit, the total degree,
+keeps a target monomial with an exponent of b or more from sharing a code
+with a product, so the matrix is the same entry for entry.  The negated
+coefficients that odd wedge positions take are made once per term and
+shared by every row.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import InputError
 from .linalg import Matrix
-from .polynomials import PolySystem, mono_mul, monomials_of_degree
+from .polynomials import PolySystem, monomials_of_degree
 
 __all__ = ["GradedComplex", "build_complex", "koszul_map", "koszul_term"]
 
@@ -63,23 +75,44 @@ def koszul_term(sys: PolySystem, t: int, k: int, S=()) -> list:
 def koszul_map(sys: PolySystem, source, target) -> Matrix:
     """The map between two sequences of (monomial, wedge) pairs: row r is
     the image of source[r].  Image terms of wedge () outside ``target`` are
-    dropped (the last map's projection); any other miss is a bug."""
-    index = {}  # wedge -> monomial -> column
+    dropped (the last map's projection); any other miss is a bug.
+
+    Within one call the monomial x^m has the int code
+    sum_k m_k b^k + (deg m) b^v, with v variables, so the code of a product
+    of monomials is the sum of their codes.  The radix b exceeds every
+    exponent of a source monomial times a term, so a product's digits are
+    its exponents.  A target monomial may have larger ones, and still
+    shares no code with a product (see below).  Each term of each f_i
+    becomes (code, coefficient, negated coefficient) once, and the rows
+    share those values."""
+    # A term of f_i has no exponent above d_i.  If a target x^y shares its
+    # code with a product x^m, whose digits m_k are below b, then
+    # sum_k y_k b^k = sum_k m_k b^k + q b^v with q = deg m - deg y, and
+    # q >= 0 since the left side is not negative and sum_k m_k b^k < b^v.
+    # Carrying y's digits to m's and q lowers deg y by a multiple of b - 1,
+    # so deg y >= deg m + q; hence q = 0 and y = m.
+    b = 1 + max(map(max, map(operator.itemgetter(0), source)), default=0) + max(sys.degrees)
+    v = sys.nvars
+    weights = [b**k + b**v for k in range(v)]
+    mul = operator.mul
+    terms = [[(sum(map(mul, m, weights)), c, -c) for m, c in f.terms.items()] for f in sys.polys]
+    index = {}  # wedge -> monomial code -> column
     for j, (m, wedge) in enumerate(target):
-        index.setdefault(wedge, {})[m] = j
+        index.setdefault(wedge, {})[sum(map(mul, m, weights))] = j
     rows = []
-    for a, wedge in source:
+    for m, wedge in source:
+        a = sum(map(mul, m, weights))
         row = {}
         for j, i in enumerate(wedge):
             rest = wedge[:j] + wedge[j + 1 :]
             cols = index.get(rest) or {}
             negate = j % 2 == 1
-            for mono, coeff in sys.polys[i - 1].terms.items():
-                col = cols.get(mono_mul(a, mono))
+            for mono, coeff, neg in terms[i - 1]:
+                col = cols.get(a + mono)
                 # each (row, col) is hit once: distinct j give distinct
                 # wedges, distinct terms distinct monomials
                 if col is not None:
-                    row[col] = -coeff if negate else coeff
+                    row[col] = neg if negate else coeff
                 elif rest:
                     raise AssertionError("differential target missing")
         rows.append(row)

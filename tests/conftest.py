@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from monobasis import GF, Matrix, MultiPoly, PolySystem, monomials_of_degree
+from monobasis import GF, Matrix, MonomialSet, MultiPoly, PolySystem, m0_set, monomials_of_degree
 
 F101 = GF(101)
 
@@ -40,3 +40,10 @@ def random_system(rng, field, degrees, homogeneous=False):
 
 def identity_matrix(field, n):
     return Matrix(field, [{i: field.one} for i in range(n)], n)
+
+
+def lifted_m0(degrees):
+    """M0 with its top monomial times x1, so that delta(M) = rho + 1."""
+    top = tuple(d - 1 for d in degrees)
+    rest = [m for m in m0_set(degrees) if m != top]
+    return MonomialSet(rest + [(top[0] + 1,) + top[1:]])

@@ -26,6 +26,8 @@ from monobasis.hilbert import DegreeProfile, hilbert_H
 from monobasis.resultants import _diagonal_sign
 from monobasis.subresultants import required_cardinality
 
+from conftest import lifted_m0
+
 F101 = GF(101)
 
 
@@ -52,13 +54,6 @@ def affine_random(rng, field, degrees):
         terms[tuple(d if j == i else 0 for j in range(n))] = field.one
         polys.append(MultiPoly(field, n, terms))
     return PolySystem(polys, tuple(degrees))
-
-
-def lifted_m0(degrees):
-    """M0 with its top monomial times x1, so that delta(M) = rho + 1."""
-    top = tuple(d - 1 for d in degrees)
-    rest = [m for m in m0_set(degrees) if m != top]
-    return MonomialSet(rest + [(top[0] + 1,) + top[1:]])
 
 
 def pure_powers(degrees):
