@@ -23,10 +23,15 @@ maximal minor chosen this way (``free_pivot_minor``) is signed by both the
 row and the column permutation that put its pivots in step order; the
 descending decomposition's value does not depend on which minor it is.
 
-A rank over Q is first taken mod the prime P = 2**62 - 57: the rank of an
-integer matrix mod P is at most its rank over Q, which is at most
-min(nrows, ncols), so a full rank mod P is the rank over Q.  Any other
-count is re-done by the same kernel over Z, so every answer stays exact.
+A rank over Q is first taken mod the prime P = 2**30 - 35, entry by entry
+(n/d to n * d^-1 mod P).  That scales each row of the row-cleared integer
+matrix by a unit mod P, and the rank of an integer matrix mod P is at most
+its rank over Q, which is at most min(nrows, ncols): so a full rank mod P
+is the rank over Q.  P is the largest prime below 2**30, one CPython digit,
+so the kernel's products and reductions mod P stay on the one-digit path
+of CPython's long arithmetic.  Any other count, and any matrix with a
+denominator divisible by P, is re-done by the same kernel over Z, so every
+answer stays exact.
 
 ``_eliminate`` takes the columns left to right, so its pivot columns are
 exactly the columns a left-to-right scan finds independent of those
@@ -52,8 +57,11 @@ from .fields import FpElement, PrimeField
 
 __all__ = ["Matrix", "MinorSelection", "free_pivot_minor", "select_nonzero_maximal_minor"]
 
-# the largest prime below 2**62: a rank over Q is proved modulo it first
-_P = 2**62 - 57
+# a rank over Q is proved modulo it first: the largest prime below 2**30,
+# so a residue is one CPython digit and the kernel's products of two
+# residues divide by a one-digit divisor; a denominator divisible by it
+# sends the rank straight to the exact kernel
+_P = 2**30 - 35
 
 
 @dataclass(frozen=True)
@@ -304,6 +312,28 @@ def _integral(rows) -> tuple:
     return work, scale
 
 
+def _residues(rows):
+    """Rational dict rows mod _P, entry by entry, or None if a denominator
+    is a multiple of _P.  Each row is its integral row from ``_integral``
+    times the inverse of its denominator, a unit mod _P: the rank mod _P
+    is the same."""
+    out = []
+    for row in rows:
+        res = {}
+        for j, e in row.items():
+            d = e.denominator
+            if d == 1:
+                r = e.numerator % _P
+            elif d % _P:
+                r = e.numerator * pow(d, -1, _P) % _P
+            else:
+                return None
+            if r:
+                res[j] = r
+        out.append(res)
+    return out
+
+
 def _echelon(field, rows, ncols: int) -> _Echelon:
     """Forward elimination of dict rows of field elements."""
     if isinstance(field, PrimeField):
@@ -400,17 +430,17 @@ class Matrix:
 
     def rank(self) -> int:
         """The rank, by the free-pivot kernel.  Over Q it is taken mod P
-        first; a rank mod P short of min(nrows, ncols) is re-done exactly,
-        by the same kernel over Z."""
+        first; a rank mod P short of min(nrows, ncols), or a denominator
+        divisible by P, is re-done exactly, by the same kernel over Z."""
         if isinstance(self.field, PrimeField):
             residues = [{j: e.val for j, e in row.items()} for row in self.rows]
             return len(_pivot(residues, self.field.p)[1])
-        work, _ = _integral(self.rows)
-        residues = [{j: r for j, v in row.items() if (r := v % _P)} for row in work]
-        rank = len(_pivot(residues, _P)[1])
-        if rank == min(self.nrows, self.ncols):
-            return rank
-        return len(_pivot(work)[1])
+        residues = _residues(self.rows)
+        if residues is not None:
+            rank = len(_pivot(residues, _P)[1])
+            if rank == min(self.nrows, self.ncols):
+                return rank
+        return len(_pivot(_integral(self.rows)[0])[1])
 
     def solve(self, rhs: "Matrix"):
         """A particular solution X of self @ X = rhs, or None if inconsistent.

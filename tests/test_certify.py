@@ -30,6 +30,7 @@ from monobasis import (
 )
 from monobasis.certify import m1_set
 from monobasis.cli import parse_poly
+from monobasis.linalg import _P
 
 from conftest import identity_matrix, random_system
 from sweep import sweep
@@ -312,11 +313,11 @@ def test_rank_oracle_matches_certificate_on_random_systems():
 
 
 def test_rank_oracle_over_q_is_exact_where_its_ranks_fall_short_mod_p():
-    """A coefficient equal to P = 2**62 - 57, the prime that ranks over Q
-    are first taken modulo.  Mod P the leading form of f1 vanishes and M0
-    is no basis; over Q, Res = P^2 and M0 is a basis, which the oracle can
+    """A coefficient equal to _P = 2**30 - 35, the prime that ranks over Q
+    are first taken modulo.  Mod _P the leading form of f1 vanishes and M0
+    is no basis; over Q, Res = _P^2 and M0 is a basis, which the oracle can
     only see through the elimination over the integers."""
-    p = 2**62 - 57
+    p = _P
     texts = [f"{p}*x1^2 + x2 - 1", "x2^2 - x1"]
     M = m0_set((2, 2))
     for field, res, basis in ((QQ, p**2, True), (GF(p), 0, False)):

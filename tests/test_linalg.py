@@ -13,19 +13,25 @@ from monobasis import (
     NotFullRank,
     ShapeError,
     m0_set,
+    rank_oracle,
     select_nonzero_maximal_minor,
 )
+from monobasis import linalg
+from monobasis.fields import is_prime
 from monobasis.koszul import koszul_term
-from monobasis.linalg import _eliminate, _integral, _pivot, free_pivot_minor
+from monobasis.linalg import _P, _eliminate, _integral, _pivot, free_pivot_minor
 from monobasis.resultants import macaulay_matrix
 
 from conftest import identity_matrix, random_system
+from sweep import seeded_system
 
 F101 = GF(101)
 F7 = GF(7)
-# the prime a rank over Q is proved modulo before any exact elimination
-P = 2**62 - 57
-FP = GF(P)
+# a user field whose residues span three CPython digits
+FP = GF(2**62 - 57)
+# the field of the prime a rank over Q is proved modulo before any exact
+# elimination, _P = 2**30 - 35
+FQ = GF(_P)
 
 
 def Mq(rows, ncols=None):
@@ -347,23 +353,64 @@ def test_shortest_row_pivots_keep_the_values_and_signs(field):
 
 
 def test_rank_over_q_is_exact_where_it_is_short_mod_p():
-    """Entries that are multiples of P: the rank mod P falls short of full,
+    """Entries that are multiples of _P: the rank mod _P falls short of full,
     so the rank over Q, full or not, must come from the same kernel run
     over the integers."""
     cases = [
-        ([[P, 0], [0, 1]], 2),
-        ([[P, 2 * P, 1], [3 * P, 5 * P, 1]], 2),
-        ([[Fraction(P, 2), Fraction(1, 3)], [Fraction(P, 5), Fraction(1, 7)]], 2),
-        ([[P, 0, 0], [0, 0, P]], 2),
-        ([[P, 0], [0, P], [P, P]], 2),
-        ([[P, 2 * P], [1, 2]], 1),
+        ([[_P, 0], [0, 1]], 2),
+        ([[_P, 2 * _P, 1], [3 * _P, 5 * _P, 1]], 2),
+        ([[Fraction(_P, 2), Fraction(1, 3)], [Fraction(_P, 5), Fraction(1, 7)]], 2),
+        ([[_P, 0, 0], [0, 0, _P]], 2),
+        ([[_P, 0], [0, _P], [_P, _P]], 2),
+        ([[_P, 2 * _P], [1, 2]], 1),
     ]
     for rows, rank in cases:
         over_q = Mq(rows)
         entries = [[over_q[i, j] for j in range(over_q.ncols)] for i in range(over_q.nrows)]
         assert over_q.rank() == rank == cofactor_rank(entries, over_q.nrows, over_q.ncols, QQ)
-        mod_p = Matrix(FP, [[FP.of(x) for x in r] for r in entries])
+        mod_p = Matrix(FQ, [[FQ.of(x) for x in r] for r in entries])
         assert mod_p.rank() < min(mod_p.nrows, mod_p.ncols)
+
+
+def test_proof_prime_is_the_largest_prime_below_2_to_the_30():
+    """One CPython digit holds 30 bits, so a residue mod _P is one digit."""
+    assert _P < 2**30 and is_prime(_P)
+    assert not any(is_prime(q) for q in range(_P + 1, 2**30))
+
+
+def spy_on_pivot(monkeypatch):
+    """The modulus of each call to the free-pivot kernel, None over Z."""
+    calls = []
+
+    def spy(rows, p=None):
+        calls.append(p)
+        return _pivot(rows, p)
+
+    monkeypatch.setattr(linalg, "_pivot", spy)
+    return calls
+
+
+def test_rank_over_q_is_exact_where_a_denominator_is_a_multiple_of_p(monkeypatch):
+    """A denominator divisible by _P has no inverse mod _P: such a matrix is
+    ranked by the kernel over the integers alone, full or not."""
+    calls = spy_on_pivot(monkeypatch)
+    cases = [
+        ([[Fraction(1, _P), 0], [0, 1]], 2),
+        ([[Fraction(1, _P), Fraction(2, _P)], [1, 2]], 1),
+        ([[Fraction(1, _P), 1], [1, Fraction(3, 2 * _P)]], 2),
+        ([[Fraction(1, _P**2), 1, 0], [0, Fraction(_P, 3), Fraction(1, 5 * _P)]], 2),
+        # the last row is twice the first plus three times the second
+        ([[Fraction(1, _P), 0, 1],
+          [0, Fraction(1, 3 * _P), 1],
+          [Fraction(2, _P), Fraction(1, _P), 5]], 2),
+        ([[Fraction(1, _P)], [Fraction(1, 2)], [0]], 1),
+    ]
+    for rows, rank in cases:
+        over_q = Mq(rows)
+        entries = [[over_q[i, j] for j in range(over_q.ncols)] for i in range(over_q.nrows)]
+        calls.clear()
+        assert over_q.rank() == rank == cofactor_rank(entries, over_q.nrows, over_q.ncols, QQ)
+        assert calls == [None]
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +571,7 @@ F3 = GF(3)
 
 def left_to_right_rank(m):
     """The pivot count of the kernel that takes the columns in order, over
-    Z for Q, so that it proves nothing mod P."""
+    Z for Q, so that it proves nothing mod _P."""
     if m.field is QQ:
         return len(_eliminate(_integral(m.rows)[0], m.ncols).pivots)
     return len(_eliminate([{j: e.val for j, e in r.items()} for r in m.rows], m.ncols,
@@ -616,9 +663,9 @@ def test_free_pivot_rank_matches_the_left_to_right_kernel_mod_p(field):
 
 
 def test_free_pivot_rank_over_q_by_proof_and_by_fallback():
-    """A full rank mod P is the proof.  Short ones go through the exact
+    """A full rank mod _P is the proof.  Short ones go through the exact
     fallback, and so do the mostly full spread matrices with a row that is
-    a multiple of P."""
+    a multiple of _P."""
     rng = random.Random("free-pivot-Q")
     proved = fallback = lifted = 0
     for _ in range(30):
@@ -628,17 +675,28 @@ def test_free_pivot_rank_over_q_by_proof_and_by_fallback():
             rows = spread_rows(rng, nrows, ncols)
             if rng.random() < 0.5:
                 i = rng.randrange(nrows)
-                rows[i] = [e * P for e in rows[i]]
+                rows[i] = [e * _P for e in rows[i]]
         else:
             rows = dependent_rows(QQ, rng, nrows, ncols)
         m = Matrix(QQ, rows, ncols)
         rank = m.rank()
         assert rank == left_to_right_rank(m)
-        full, mod_p = min(nrows, ncols), reduced(m, FP).rank()
+        full, mod_p = min(nrows, ncols), reduced(m, FQ).rank()
         proved += mod_p == full
         fallback += mod_p < full
         lifted += mod_p < rank == full
     assert proved >= 5 and fallback >= 10 and lifted >= 3
+
+
+def test_rank_oracle_over_q_is_proved_mod_p(monkeypatch):
+    """Both Macaulay matrices of ``rank_oracle`` for a dense (3,2,2,2)
+    system over Q and its set M0 have full rank: each is ranked once mod
+    _P, which proves it, and never over the integers."""
+    degrees = (3, 2, 2, 2)
+    sys_ = seeded_system(1, degrees, QQ, range(-5, 6))
+    calls = spy_on_pivot(monkeypatch)
+    assert rank_oracle(sys_, m0_set(degrees))
+    assert calls == [_P, _P]
 
 
 def test_rank_oracle_matrices_keep_their_rank():

@@ -13,9 +13,12 @@ from monobasis import (
     MultiPoly,
     PolySystem,
     ShapeError,
+    certify_basis,
     classical_subresultants,
     linear_transform,
+    m0_set,
     monomials_of_degree,
+    multiplication_matrix,
     resultant_macaulay,
     sylvester_resultant,
 )
@@ -253,6 +256,55 @@ def test_resultant_nonzero_iff_the_macaulay_map_is_onto(field):
         seen.add(onto)
     assert seen == {True, False}
 
+
+
+POISSON_DEGREES = ((2, 2), (3, 2), (2, 3), (2, 2, 2), (3, 2, 2), (2, 2, 3), (2, 2, 2, 2))
+
+
+def poisson_draw(field, degrees, seed):
+    """Dense forms F_1..F_n with coefficients in -3..3, the affine system
+    f_i = F_i(x', 1) of the first n - 1 of them, Res(F) and
+    Res(F^_1..F^_{n-1}), F^_i = F_i(x', 0); x' = x_1..x_{n-1}."""
+    rng = random.Random(f"poisson-{field.name}-{degrees}-{seed}")
+    n = len(degrees)
+    forms = [MultiPoly(field, n, {m: field.of(rng.randrange(-3, 4))
+                                  for m in monomials_of_degree(n, d)}) for d in degrees]
+    affine = [MultiPoly(field, n - 1, {m[:-1]: c for m, c in F.terms.items()}) for F in forms]
+    if n == 2:
+        # one form in one variable: Res(c x_1^d) = c
+        res_hat = forms[0].coefficient((degrees[0], 0))
+    else:
+        hats = [MultiPoly(field, n - 1, {m[:-1]: c for m, c in F.terms.items() if not m[-1]})
+                for F in forms[:-1]]
+        res_hat = resultant_macaulay(PolySystem(hats, degrees[:-1]))
+    res = resultant_macaulay(PolySystem(forms, degrees))
+    return PolySystem(affine[:-1], degrees[:-1]), affine[-1], res, res_hat
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=["Q", "F101"])
+def test_poisson_formula(field):
+    """Res(F) = Res(F^)^(d_n) det(m_{f_n}), sign included, for m_{f_n} the
+    multiplication by f_n on K[x']/(f_1..f_{n-1}) in the basis M0 (Jouanolou
+    1991; Cox, Little and O'Shea, Using Algebraic Geometry, ch. 3 sec. 5).
+    ``multiplication_matrix`` refuses exactly the draws on which M0 is
+    certified not to be a basis."""
+    proved, refused = 0, []
+    for degrees in POISSON_DEGREES:
+        for seed in range(3):
+            sys_, g, res, res_hat = poisson_draw(field, degrees, seed)
+            M = m0_set(degrees[:-1])
+            cert = certify_basis(sys_, M)
+            # the leading forms of f_1..f_{n-1} are F^_1..F^_{n-1}
+            assert cert.res_value == res_hat
+            if not cert.is_basis:
+                with pytest.raises(InputError):
+                    multiplication_matrix(sys_, M, g)
+                refused.append(res_hat)
+                continue
+            assert res == res_hat ** degrees[-1] * multiplication_matrix(sys_, M, g).det()
+            proved += 1
+    # a refusal need not mean Res(F^) = 0: Delta(M0) = 0 refuses too
+    assert proved >= 18 and any(refused)
 
 
 @pytest.mark.parametrize("field", [QQ, F101], ids=["Q", "F101"])
