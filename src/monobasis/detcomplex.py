@@ -11,19 +11,17 @@ elements are left over after the last stage, the complex is not exact and
 NotExact is raised (callers read this as "determinant 0").  Whether a
 stage finds a minor does not depend on the minors chosen before it.
 
-The descending decomposition signs each stage's minor by the shuffle that
-moves its chosen columns to the front, so its value is the torsion of the
-complex in the given term bases: it does not depend on which minors were
-chosen, and permuting the bases changes it by the product of the
-permutations' signs.  So it takes each minor from the free-pivot kernel
-(``free_pivot_minor``), whose columns follow the sparsity of the stage
-rather than their order, and which signs the minor by its row and column
-permutations.  ``koszul_det`` is that value for the degree-t Koszul
-complex C_t(S); the resultant and every subresultant are computed by it.
-The ascending decomposition is unsigned and serves as the independent
-reference of the tests; it takes the lexicographically first minors
-(``select_nonzero_maximal_minor``) and transposes each of its stages, so
-that selector always picks the pivot columns of a map with full row rank.
+Both take each stage's minor from ``select_nonzero_maximal_minor``, on
+the free-pivot kernel, whose columns follow the sparsity of the stage
+rather than their order.  The descending decomposition signs each stage's
+minor by the shuffle that moves its chosen columns to the front, so its
+value is the torsion of the complex in the given term bases: it does not
+depend on which minors were chosen, and permuting the bases changes it by
+the product of the permutations' signs.  ``koszul_det`` is that value for
+the degree-t Koszul complex C_t(S); the resultant and every subresultant
+are computed by it.  The ascending decomposition is unsigned, equal to it
+up to sign; it chooses each stage's rows as the columns of the minor of
+the transposed stage.
 """
 from __future__ import annotations
 
@@ -32,7 +30,7 @@ from dataclasses import dataclass
 from .errors import NotExact, NotFullRank
 from .hilbert import required_cardinality
 from .koszul import GradedComplex, build_complex
-from .linalg import Matrix, free_pivot_minor, select_nonzero_maximal_minor
+from .linalg import Matrix, select_nonzero_maximal_minor
 from .polynomials import PolySystem
 
 __all__ = [
@@ -92,8 +90,9 @@ def decompose_descending(c: GradedComplex) -> DecompositionTrace:
     dets = []
     for k in range(c.s, 0, -1):
         d = c.differentials[k - 1]
+        restricted = Matrix(c.field, [d.rows[i] for i in rows], dims[k - 1])
         try:
-            sel = free_pivot_minor(Matrix(c.field, [d.rows[i] for i in rows], dims[k - 1]))
+            sel = select_nonzero_maximal_minor(restricted)
         except NotFullRank:
             raise NotExact(f"stage {k}: restricted differential is not into") from None
         cols = sel.col_indices

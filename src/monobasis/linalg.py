@@ -1,5 +1,4 @@
-"""Exact matrices over Q or F_p: one free-pivot kernel, and the
-left-to-right elimination that solves and picks lexicographic minors.
+"""Exact matrices over Q or F_p, on one free-pivot elimination kernel.
 
 Every matrix is sparse, from the Koszul builder through to the kernels: a
 row is a dict {column: value} of its non-zero entries.  A kernel only maps
@@ -13,15 +12,17 @@ step j, and a pivot row of a lower level is first scaled up to level k.
 So every entry is the minor dense Bareiss would hold, every division is
 exact, and the last pivot is the minor of the row-scaled matrix.
 
-Rank, determinant and the certificate's stage minors run on ``_pivot``,
-the free-pivot kernel.  Its pivot is the shortest remaining row, at its
-entry in the column the fewest remaining rows hold (a cheap Markowitz
-rule, Markowitz 1957), which fills in far less than the column order on
-Macaulay and Koszul matrices; each pivot row is dropped once applied.  A
-rank and a determinant name no columns, so their pivot order is free.  A
-maximal minor chosen this way (``free_pivot_minor``) is signed by both the
-row and the column permutation that put its pivots in step order; the
-descending decomposition's value does not depend on which minor it is.
+Rank, determinant, the stage minors of both decompositions and ``solve``
+all run on ``_pivot``, the free-pivot kernel.  Its pivot is the shortest
+remaining row, at its entry in the column the fewest remaining rows hold
+(a cheap Markowitz rule, Markowitz 1957), which fills in far less than
+the column order on Macaulay and Koszul matrices; each pivot row is
+dropped once applied.  A rank and a determinant name no columns, so their
+pivot order is free.  A maximal minor chosen this way
+(``select_nonzero_maximal_minor``) follows the sparsity of the matrix, not
+the order of its columns, and is signed by both the row and the column
+permutation that put its pivots in step order; the determinant of an
+exact complex does not depend on which minors its stages take.
 
 A rank over Q is first taken mod the prime P = 2**30 - 35, entry by entry
 (n/d to n * d^-1 mod P).  That scales each row of the row-cleared integer
@@ -33,15 +34,12 @@ of CPython's long arithmetic.  Any other count, and any matrix with a
 denominator divisible by P, is re-done by the same kernel over Z, so every
 answer stays exact.
 
-``_eliminate`` takes the columns left to right, so its pivot columns are
-exactly the columns a left-to-right scan finds independent of those
-before it.  The pivot of a column is the shortest remaining row that holds
-it (the row rule of structured Gaussian elimination, LaMacchia and Odlyzko
-1990), which does not change the pivot columns; the minor carries the sign
-of the row permutation.  It serves ``solve``, whose free variables are the
-non-pivot columns, and ``select_nonzero_maximal_minor``, the
-lexicographically first non-zero maximal minor: the ascending
-decomposition's selector and the tests' reference.
+``solve`` runs the kernel on the rows of [A | B], where a pivot row takes
+a column of B only when it holds no column of A: such a row, a
+combination of the rows, reads 0 = b with b non-zero, so the system is
+inconsistent.  Otherwise every pivot column is a column of A, and the
+pivot rows, triangular in step order, are back-substituted with the free
+variables, the other columns of A, at zero.
 """
 
 from __future__ import annotations
@@ -55,60 +53,13 @@ from math import lcm
 from .errors import NotFullRank, ShapeError
 from .fields import FpElement, PrimeField
 
-__all__ = ["Matrix", "MinorSelection", "free_pivot_minor", "select_nonzero_maximal_minor"]
+__all__ = ["Matrix", "MinorSelection", "select_nonzero_maximal_minor"]
 
 # a rank over Q is proved modulo it first: the largest prime below 2**30,
 # so a residue is one CPython digit and the kernel's products of two
 # residues divide by a one-digit divisor; a denominator divisible by it
 # sends the rank straight to the exact kernel
 _P = 2**30 - 35
-
-
-@dataclass(frozen=True)
-class _Echelon:
-    """Row echelon form: pivots[k] is the pivot column of echelon row k,
-    a dict of its non-zero entries, none left of its pivot."""
-
-    pivots: list
-    rows: list
-    sign: int  # sign of the permutation taking the pivot rows into pivot order
-    scale: int  # product of the row denominators cleared over Q; 1 mod p
-    p: object  # the prime, or None over Q
-
-    def minor(self):
-        """The minor on every row and the pivot columns (one pivot per row)."""
-        if self.p:
-            value = self.sign
-            for c, row in zip(self.pivots, self.rows):
-                value = value * row[c] % self.p
-            return FpElement(value, self.p)
-        last = self.rows[-1][self.pivots[-1]] if self.rows else 1
-        return Fraction(self.sign * last, self.scale)
-
-    def solution(self, m: int) -> list:
-        """Dict rows of X with A X = B for the eliminated [A | B] (A has m
-        columns), free variables zero; needs no pivot in B."""
-        p = self.p
-        # over Z, d * X is integral for d the last pivot (Cramer's rule on
-        # the pivot rows), so the back-substitution divides exactly
-        d = 1 if p or not self.rows else self.rows[-1][self.pivots[-1]]
-        x = {}  # pivot column -> its dict row of X (times d over Z)
-        for c, row in zip(reversed(self.pivots), reversed(self.rows)):
-            acc = {}
-            for j, f in row.items():
-                if j >= m:
-                    acc[j - m] = acc.get(j - m, 0) + d * f
-                else:
-                    for l, y in x.get(j, {}).items():
-                        acc[l] = acc.get(l, 0) - f * y
-            if p:
-                inv = pow(row[c], -1, p)
-                x[c] = {l: v for l, a in acc.items() if (v := a * inv % p)}
-            else:
-                x[c] = {l: a // row[c] for l, a in acc.items() if a}
-        if p:
-            return [{l: FpElement(v, p) for l, v in x.get(c, {}).items()} for c in range(m)]
-        return [{l: Fraction(v, d) for l, v in x.get(c, {}).items()} for c in range(m)]
 
 
 def _permutation_sign(order: list) -> int:
@@ -123,81 +74,20 @@ def _permutation_sign(order: list) -> int:
     return sign
 
 
-def _eliminate(rows: list, ncols: int, p=None, scale: int = 1) -> _Echelon:
-    """Forward elimination, in place, of dict rows of residues mod the
-    prime p, or of integers (rational rows times ``scale``) if p is None."""
-    # rows without a pivot, by their leftmost column: every column left of
-    # the current one has been cleared from all of them; each waits with
-    # its level, the number of pivot steps it was last brought up to
-    waiting = {}
-    for i, row in enumerate(rows):
-        if row:
-            waiting.setdefault(min(row), []).append((i, row, 0))
-    pivots, echelon, order, prev = [], [], [], [1]  # prev[k]: pivot of step k
-    for c in range(ncols):
-        if not waiting:
-            break
-        holders = waiting.pop(c, None)
-        if holders is None:
-            continue
-        i, pivot, level = min(holders, key=lambda h: len(h[1]))
-        k = len(pivots)
-        if p is None and level < k:
-            # the steps this row skipped only scaled it, each entry exactly
-            for j, y in pivot.items():
-                pivot[j] = y * prev[k] // prev[level]
-        pivots.append(c)
-        echelon.append(pivot)
-        order.append(i)
-        pv = pivot[c]
-        prev.append(pv)
-        if len(holders) == 1:
-            continue
-        tail = [(j, y) for j, y in pivot.items() if j != c]
-        inv = pow(pv, -1, p) if p else None
-        for row_i, r, row_level in holders:
-            if r is pivot:
-                continue
-            f = r.pop(c)
-            if p:
-                f = f * inv % p
-                for j, y in tail:
-                    # r[j] is absent only when the new value f * y is non-zero
-                    v = (r.get(j, 0) - f * y) % p
-                    if v:
-                        r[j] = v
-                    else:
-                        del r[j]
-            else:
-                # Bareiss from the holder's level: each new entry is a minor
-                # of the matrix, so // divides exactly and never gives zero
-                for j in r:
-                    r[j] *= pv
-                for j, y in tail:
-                    v = r.get(j, 0) - f * y
-                    if v:
-                        r[j] = v
-                    else:
-                        del r[j]
-                d = prev[row_level]
-                if d != 1:
-                    for j in r:
-                        r[j] //= d
-            if r:
-                waiting.setdefault(min(r), []).append((row_i, r, k + 1))
-    return _Echelon(pivots, echelon, _permutation_sign(order), scale, p)
-
-
-def _pivot(rows: list, p=None) -> tuple:
+def _pivot(rows: list, p=None, m=None) -> tuple:
     """The free-pivot kernel: forward elimination, in place, of dict rows
     of residues mod the prime p, or of integers if p is None.
 
     The pivot is the shortest remaining row, at its entry in the column the
     fewest remaining rows hold (Markowitz's rule, cheaply), and a pivot row
-    is dropped once it has been applied.  Over Z the update is Bareiss's,
-    by lazy levels as in ``_eliminate``.  Returns the pivot rows and the
-    pivot columns in step order, and the minor on them in that order: the
-    product of the pivots mod p, the last pivot over Z.
+    is dropped once it has been applied: its slot in ``rows`` becomes {},
+    and its dict is left as it was at its step, so a caller that kept
+    ``list(rows)`` holds every pivot row.  Over Z the update is Bareiss's,
+    by lazy levels.  With ``m`` set (by ``solve``, on [A | B] with m the
+    columns of A) a row takes a column >= m only when it holds none below.
+    Returns the indices of the pivot rows and the pivot columns in step
+    order, and the minor on them in that order: the product of the pivots
+    mod p, the last pivot over Z.
     """
     count = {}  # column -> the number of remaining rows holding it
     holders = {}  # column -> the rows that have held it, since-cleared ones too
@@ -216,6 +106,7 @@ def _pivot(rows: list, p=None) -> tuple:
     level = [0] * len(rows)  # over Z: the pivot steps each row was brought up to
     prev = [1]  # over Z, prev[k]: the pivot of step k
     order, cols, factor = [], [], 1
+    fewest = count.__getitem__ if m is None else lambda j: (j >= m, count[j])
     while count:
         n = lengths[0]
         bucket = buckets[n]
@@ -226,7 +117,7 @@ def _pivot(rows: list, p=None) -> tuple:
         pivot = rows[i]
         if n != len(pivot):
             continue
-        c = min(pivot, key=count.__getitem__)
+        c = min(pivot, key=fewest)
         k = len(cols)
         if p is None and level[i] < k:
             # the steps this row skipped only scaled it, each entry exactly
@@ -334,24 +225,21 @@ def _residues(rows):
     return out
 
 
-def _echelon(field, rows, ncols: int) -> _Echelon:
-    """Forward elimination of dict rows of field elements."""
+def _exact(field, rows) -> tuple:
+    """Copies of dict rows of field elements for the kernel: residues mod
+    p, or integers by ``_integral`` over Q; the product of the cleared
+    denominators (1 mod p), and the prime, None over Q."""
     if isinstance(field, PrimeField):
-        return _eliminate([{j: e.val for j, e in row.items()} for row in rows], ncols, field.p)
-    work, scale = _integral(rows)
-    return _eliminate(work, ncols, None, scale)
+        return [{j: e.val for j, e in row.items()} for row in rows], 1, field.p
+    return (*_integral(rows), None)
 
 
 def _minor(field, rows) -> tuple:
     """The free-pivot kernel on a copy of dict rows of field elements: its
     pivot columns, sorted, and the minor on every row and those columns,
     or None in its place when the rows are dependent."""
-    p = field.p if isinstance(field, PrimeField) else None
-    if p:
-        order, cols, factor = _pivot([{j: e.val for j, e in row.items()} for row in rows], p)
-    else:
-        work, scale = _integral(rows)
-        order, cols, factor = _pivot(work)
+    work, scale, p = _exact(field, rows)
+    order, cols, factor = _pivot(work, p)
     chosen = tuple(sorted(cols))
     if len(order) < len(rows):
         return chosen, None
@@ -445,17 +333,41 @@ class Matrix:
     def solve(self, rhs: "Matrix"):
         """A particular solution X of self @ X = rhs, or None if inconsistent.
 
-        Free variables are set to zero; the pivot columns are fixed by the
-        scan order, so the returned solution is deterministic.
+        The free-pivot kernel eliminates [self | rhs]; the rows of X that
+        are not pivot columns, the free variables, are zero, so the rows
+        of X that hold entries index linearly independent columns of self.
         """
         if rhs.nrows != self.nrows:
             raise ShapeError("right-hand side has the wrong number of rows")
         m, k = self.ncols, rhs.ncols
         aug = [{**a, **{m + j: e for j, e in b.items()}} for a, b in zip(self.rows, rhs.rows)]
-        ech = _echelon(self.field, aug, m + k)
-        if ech.pivots and ech.pivots[-1] >= m:
+        work, _, p = _exact(self.field, aug)
+        pivots = list(work)  # the kernel leaves each pivot row here as it was at its step
+        order, cols, last = _pivot(work, p, m)
+        if any(c >= m for c in cols):
             return None
-        return Matrix(self.field, ech.solution(m), ncols=k)
+        # over Z, d * X is integral for d the last pivot (Cramer's rule on
+        # the pivot rows), so the back-substitution divides exactly
+        d = 1 if p else last
+        x = {}  # pivot column -> its dict row of X (times d over Z)
+        for i, c in zip(reversed(order), reversed(cols)):
+            row, acc = pivots[i], {}
+            for j, f in row.items():
+                if j >= m:
+                    acc[j - m] = acc.get(j - m, 0) + d * f
+                else:
+                    for l, y in x.get(j, {}).items():
+                        acc[l] = acc.get(l, 0) - f * y
+            if p:
+                inv = pow(row[c], -1, p)
+                x[c] = {l: v for l, a in acc.items() if (v := a * inv % p)}
+            else:
+                x[c] = {l: a // row[c] for l, a in acc.items() if a}
+        if p:
+            rows = [{l: FpElement(v, p) for l, v in x.get(c, {}).items()} for c in range(m)]
+        else:
+            rows = [{l: Fraction(v, d) for l, v in x.get(c, {}).items()} for c in range(m)]
+        return Matrix(self.field, rows, ncols=k)
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field.name})"
@@ -471,23 +383,11 @@ class MinorSelection:
 
 
 def select_nonzero_maximal_minor(m: Matrix) -> MinorSelection:
-    """Deterministic greedy choice of a non-zero maximal minor of a map
-    that is onto (full row rank): every row and the pivot columns.
-    Raises NotFullRank when the rows are dependent.
-    """
-    ech = _echelon(m.field, m.rows, m.ncols)
-    if len(ech.pivots) < m.nrows:
-        raise NotFullRank(
-            f"no non-zero maximal minor ({len(ech.pivots)} of {m.nrows} rows independent)"
-        )
-    return MinorSelection(tuple(ech.pivots), ech.minor())
-
-
-def free_pivot_minor(m: Matrix) -> MinorSelection:
     """A non-zero maximal minor of a map that is onto (full row rank):
-    every row and the pivot columns of the free-pivot kernel, whose choice
-    follows the matrix's sparsity rather than the column order.  Raises
-    NotFullRank when the rows are dependent.
+    every row and the pivot columns of the free-pivot kernel.  The choice
+    is deterministic but not lexicographic: it follows the sparsity of the
+    matrix rather than the order of its columns.  Raises NotFullRank when
+    the rows are dependent.
     """
     cols, value = _minor(m.field, m.rows)
     if value is None:

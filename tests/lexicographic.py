@@ -1,0 +1,131 @@
+"""The tests' reference for the library's minors: the lexicographically
+first non-zero maximal minor, by an elimination that takes the columns
+left to right.
+
+``eliminate`` pivots on the columns in order, so its pivot columns are
+exactly the columns a left-to-right scan finds independent of those
+before it.  The pivot of a column is the shortest remaining row that
+holds it (the row rule of structured Gaussian elimination, LaMacchia and
+Odlyzko 1990), which does not change the pivot columns; the minor carries
+the sign of the row permutation.  Over Z the update is Bareiss's, by lazy
+levels, as in the library's free-pivot kernel.  It shares no elimination
+code with the library, only the conversion of the rows to residues or
+integers and the sign of a permutation.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from monobasis import NotFullRank
+from monobasis.fields import FpElement, PrimeField
+from monobasis.linalg import MinorSelection, _integral, _permutation_sign
+
+
+@dataclass(frozen=True)
+class Echelon:
+    """Row echelon form: pivots[k] is the pivot column of echelon row k,
+    a dict of its non-zero entries, none left of its pivot."""
+
+    pivots: list
+    rows: list
+    sign: int  # sign of the permutation taking the pivot rows into pivot order
+    scale: int  # product of the row denominators cleared over Q; 1 mod p
+    p: object  # the prime, or None over Q
+
+    def minor(self):
+        """The minor on every row and the pivot columns (one pivot per row)."""
+        if self.p:
+            value = self.sign
+            for c, row in zip(self.pivots, self.rows):
+                value = value * row[c] % self.p
+            return FpElement(value, self.p)
+        last = self.rows[-1][self.pivots[-1]] if self.rows else 1
+        return Fraction(self.sign * last, self.scale)
+
+
+def eliminate(rows: list, ncols: int, p=None, scale: int = 1) -> Echelon:
+    """Forward elimination, in place, of dict rows of residues mod the
+    prime p, or of integers (rational rows times ``scale``) if p is None."""
+    # rows without a pivot, by their leftmost column: every column left of
+    # the current one has been cleared from all of them; each waits with
+    # its level, the number of pivot steps it was last brought up to
+    waiting = {}
+    for i, row in enumerate(rows):
+        if row:
+            waiting.setdefault(min(row), []).append((i, row, 0))
+    pivots, echelon, order, prev = [], [], [], [1]  # prev[k]: pivot of step k
+    for c in range(ncols):
+        if not waiting:
+            break
+        holders = waiting.pop(c, None)
+        if holders is None:
+            continue
+        i, pivot, level = min(holders, key=lambda h: len(h[1]))
+        k = len(pivots)
+        if p is None and level < k:
+            # the steps this row skipped only scaled it, each entry exactly
+            for j, y in pivot.items():
+                pivot[j] = y * prev[k] // prev[level]
+        pivots.append(c)
+        echelon.append(pivot)
+        order.append(i)
+        pv = pivot[c]
+        prev.append(pv)
+        if len(holders) == 1:
+            continue
+        tail = [(j, y) for j, y in pivot.items() if j != c]
+        inv = pow(pv, -1, p) if p else None
+        for row_i, r, row_level in holders:
+            if r is pivot:
+                continue
+            f = r.pop(c)
+            if p:
+                f = f * inv % p
+                for j, y in tail:
+                    # r[j] is absent only when the new value f * y is non-zero
+                    v = (r.get(j, 0) - f * y) % p
+                    if v:
+                        r[j] = v
+                    else:
+                        del r[j]
+            else:
+                # Bareiss from the holder's level: each new entry is a minor
+                # of the matrix, so // divides exactly and never gives zero
+                for j in r:
+                    r[j] *= pv
+                for j, y in tail:
+                    v = r.get(j, 0) - f * y
+                    if v:
+                        r[j] = v
+                    else:
+                        del r[j]
+                d = prev[row_level]
+                if d != 1:
+                    for j in r:
+                        r[j] //= d
+            if r:
+                waiting.setdefault(min(r), []).append((row_i, r, k + 1))
+    return Echelon(pivots, echelon, _permutation_sign(order), scale, p)
+
+
+
+def echelon(m) -> Echelon:
+    """Forward elimination of a copy of the rows of the Matrix m."""
+    if isinstance(m.field, PrimeField):
+        rows = [{j: e.val for j, e in row.items()} for row in m.rows]
+        return eliminate(rows, m.ncols, m.field.p)
+    work, scale = _integral(m.rows)
+    return eliminate(work, m.ncols, None, scale)
+
+
+def lexicographic_minor(m) -> MinorSelection:
+    """The lexicographically first non-zero maximal minor of a map that is
+    onto (full row rank): every row and the pivot columns.  Raises
+    NotFullRank when the rows are dependent."""
+    ech = echelon(m)
+    if len(ech.pivots) < m.nrows:
+        raise NotFullRank(
+            f"no non-zero maximal minor ({len(ech.pivots)} of {m.nrows} rows independent)"
+        )
+    return MinorSelection(tuple(ech.pivots), ech.minor())

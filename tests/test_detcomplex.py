@@ -20,13 +20,13 @@ from monobasis import (
     decompose_descending,
     m0_set,
     monomials_of_degree,
-    select_nonzero_maximal_minor,
 )
 from monobasis.hilbert import DegreeProfile, hilbert_H
 from monobasis.resultants import _diagonal_sign
 from monobasis.subresultants import required_cardinality
 
 from conftest import lifted_m0
+from lexicographic import lexicographic_minor
 
 F101 = GF(101)
 
@@ -284,13 +284,13 @@ def test_empty_and_non_square_last_stages(field):
 
 def lexicographic_descending(c):
     """The signed descending decomposition with every stage's minor chosen
-    by the lexicographic selector, each signed by its columns' shuffle."""
+    by the lexicographic reference, each signed by its columns' shuffle."""
     dims = c.dims()
     rows = list(range(dims[c.s]))
     dets = []
     for k in range(c.s, 0, -1):
         try:
-            sel = select_nonzero_maximal_minor(c.differentials[k - 1].submatrix(rows, range(dims[k - 1])))
+            sel = lexicographic_minor(c.differentials[k - 1].submatrix(rows, range(dims[k - 1])))
         except NotFullRank:
             raise NotExact(f"stage {k}") from None
         cols = sel.col_indices
@@ -324,7 +324,9 @@ def test_free_pivot_descending_equals_the_lexicographic_one(field):
     lexicographic ones, not just the same up to sign, and fail on the same
     complexes: homogenized dense and sparse systems at t = max(rho, delta(M))
     and one above, with M0 and with random sets, their leading forms' resultant complexes,
-    and the pure powers behind the resultant's sign."""
+    and the pure powers behind the resultant's sign.  The ascending
+    decomposition, on the same selector, gives that value up to sign and
+    fails on the same complexes too."""
     rng = random.Random(f"free-descending-{field.name}")
     complexes = []
     for degrees in ((2, 2), (3, 2), (2, 2, 2), (3, 2, 2), (2, 2, 2, 2)):
@@ -342,10 +344,12 @@ def test_free_pivot_descending_equals_the_lexicographic_one(field):
         try:
             want = lexicographic_descending(c)
         except NotExact:
-            with pytest.raises(NotExact):
-                decompose_descending(c)
+            for decompose in DECOMPOSITIONS:
+                with pytest.raises(NotExact):
+                    decompose(c)
             continue
         assert decompose_descending(c).delta == want
+        assert decompose_ascending(c).delta in (want, -want)
         exact += 1
     assert exact >= 35 and len(complexes) - exact >= 10
     for degrees in ((2, 2), (3, 2), (2, 3), (2, 2, 2), (3, 2, 2), (2, 3, 2)):
@@ -354,3 +358,4 @@ def test_free_pivot_descending_equals_the_lexicographic_one(field):
         c = build_complex(forms, sum(degrees) - len(degrees) + 1, ())
         value = decompose_descending(c).delta
         assert value == lexicographic_descending(c) == field.of(_diagonal_sign(degrees))
+        assert decompose_ascending(c).delta in (value, -value)

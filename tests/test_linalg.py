@@ -19,10 +19,11 @@ from monobasis import (
 from monobasis import linalg
 from monobasis.fields import is_prime
 from monobasis.koszul import koszul_term
-from monobasis.linalg import _P, _eliminate, _integral, _pivot, free_pivot_minor
+from monobasis.linalg import _P, _integral, _pivot
 from monobasis.resultants import macaulay_matrix
 
 from conftest import identity_matrix, random_system
+from lexicographic import echelon, lexicographic_minor
 from sweep import seeded_system
 
 F101 = GF(101)
@@ -130,7 +131,7 @@ def test_shape_checks():
 
 def test_minor_selection_example():
     m = Mq([[1, 2, 3], [4, 5, 6]])
-    sel = select_nonzero_maximal_minor(m)
+    sel = lexicographic_minor(m)
     assert sel.col_indices == (0, 1)
     assert sel.minor_value == -3
 
@@ -249,9 +250,9 @@ def test_minor_selection_is_lex_first_nonzero_minor(field, axis):
         selected = m if axis == "cols" else transposed(m)
         if want is None:
             with pytest.raises(NotFullRank):
-                select_nonzero_maximal_minor(selected)
+                lexicographic_minor(selected)
             continue
-        sel = select_nonzero_maximal_minor(selected)
+        sel = lexicographic_minor(selected)
         idx, value = want
         assert sel.col_indices == idx
         assert sel.minor_value == value
@@ -296,18 +297,15 @@ def test_edge_shapes(field):
     three_by_zero = Matrix(field, [[], [], []], ncols=0)
     assert Matrix(field, [], ncols=0).det() == field.one
     assert zero_by_three.rank() == 0 and three_by_zero.rank() == 0
-    sel = select_nonzero_maximal_minor(zero_by_three)
-    assert (sel.col_indices, sel.minor_value) == ((), field.one)
-    sel = select_nonzero_maximal_minor(transposed(three_by_zero))
-    assert (sel.col_indices, sel.minor_value) == ((), field.one)
-    with pytest.raises(NotFullRank):
-        select_nonzero_maximal_minor(three_by_zero)
-    with pytest.raises(NotFullRank):
-        select_nonzero_maximal_minor(transposed(zero_by_three))
-    sel = free_pivot_minor(zero_by_three)
-    assert (sel.col_indices, sel.minor_value) == ((), field.one)
-    with pytest.raises(NotFullRank):
-        free_pivot_minor(three_by_zero)
+    for select in (select_nonzero_maximal_minor, lexicographic_minor):
+        sel = select(zero_by_three)
+        assert (sel.col_indices, sel.minor_value) == ((), field.one)
+        sel = select(transposed(three_by_zero))
+        assert (sel.col_indices, sel.minor_value) == ((), field.one)
+        with pytest.raises(NotFullRank):
+            select(three_by_zero)
+        with pytest.raises(NotFullRank):
+            select(transposed(zero_by_three))
     x = zero_by_three.solve(Matrix(field, [], ncols=2))
     assert (x.nrows, x.ncols) == (3, 2) and x.is_zero()
     assert three_by_zero.solve(Matrix(field, [[field.zero]] * 3)) == Matrix(field, [], ncols=1)
@@ -345,9 +343,9 @@ def test_shortest_row_pivots_keep_the_values_and_signs(field):
         want = lex_first_minor(rows, nrows, ncols, "cols", field)
         if want is None:
             with pytest.raises(NotFullRank):
-                select_nonzero_maximal_minor(m)
+                lexicographic_minor(m)
             continue
-        sel = select_nonzero_maximal_minor(m)
+        sel = lexicographic_minor(m)
         assert (sel.col_indices, sel.minor_value) == want
     assert departures >= 25
 
@@ -382,9 +380,9 @@ def spy_on_pivot(monkeypatch):
     """The modulus of each call to the free-pivot kernel, None over Z."""
     calls = []
 
-    def spy(rows, p=None):
+    def spy(rows, p=None, m=None):
         calls.append(p)
-        return _pivot(rows, p)
+        return _pivot(rows, p, m)
 
     monkeypatch.setattr(linalg, "_pivot", spy)
     return calls
@@ -459,17 +457,17 @@ def test_q_determinants_and_minors_reduce_to_the_fp_ones():
             assert reduced(square, field).det() == field.of(det)
         wide = Matrix(QQ, spread_rows(rng, n, n + rng.randrange(1, 8)))
         try:
-            sel = select_nonzero_maximal_minor(wide)
+            sel = lexicographic_minor(wide)
         except NotFullRank:
             for field in (F7, F101):
                 with pytest.raises(NotFullRank):
-                    select_nonzero_maximal_minor(reduced(wide, field))
+                    lexicographic_minor(reduced(wide, field))
             continue
         assert wide.submatrix(range(n), sel.col_indices).det() == sel.minor_value != 0
         for field in (F7, F101):
             value = field.of(sel.minor_value)
             if value:
-                mod = select_nonzero_maximal_minor(reduced(wide, field))
+                mod = lexicographic_minor(reduced(wide, field))
                 assert (mod.col_indices, mod.minor_value) == (sel.col_indices, value)
                 kept += 1
     assert nonzero >= 12 and kept >= 24
@@ -485,6 +483,28 @@ def test_solve_over_q_on_large_sparse_consistent_systems():
         b = a @ x0
         x = a.solve(b)
         assert x is not None and a @ x == b
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=["F101", "Q"])
+def test_solve_sets_the_free_variables_to_zero(field):
+    """On consistent underdetermined systems, with dependent rows and zero
+    rows among them, the rows of X that hold entries index linearly
+    independent columns of A: every other unknown is a free variable, set
+    to zero."""
+    rng = random.Random(f"free-variables-{field.name}")
+    entry = nonzero_entry(field, rng)
+    for _ in range(40):
+        nrows = rng.randrange(1, 16)
+        ncols = nrows + rng.randrange(1, 8)
+        a = Matrix(field, dependent_rows(field, rng, nrows, ncols), ncols)
+        x0 = Matrix(field, [{l: entry() for l in range(2) if rng.random() < 0.7}
+                            for _ in range(ncols)], 2)
+        b = a @ x0
+        x = a.solve(b)
+        assert x is not None and (x.nrows, x.ncols) == (ncols, 2)
+        assert a @ x == b
+        held = [j for j, row in enumerate(x.rows) if row]
+        assert a.submatrix(range(nrows), held).rank() == len(held) <= a.rank()
 
 
 # ---------------------------------------------------------------------------
@@ -570,12 +590,9 @@ F3 = GF(3)
 
 
 def left_to_right_rank(m):
-    """The pivot count of the kernel that takes the columns in order, over
-    Z for Q, so that it proves nothing mod _P."""
-    if m.field is QQ:
-        return len(_eliminate(_integral(m.rows)[0], m.ncols).pivots)
-    return len(_eliminate([{j: e.val for j, e in r.items()} for r in m.rows], m.ncols,
-                          m.field.p).pivots)
+    """The pivot count of the reference elimination, which takes the
+    columns in order, over Z for Q, so that it proves nothing mod _P."""
+    return len(echelon(m).pivots)
 
 
 def nonzero_entry(field, rng):
@@ -729,17 +746,16 @@ def test_linear_algebra_leaves_the_rows_alone(field):
             if nrows == ncols:
                 m.det()
             m.solve(rhs)
-            for select in (select_nonzero_maximal_minor, free_pivot_minor):
-                try:
-                    select(m)
-                except NotFullRank:
-                    pass
+            try:
+                select_nonzero_maximal_minor(m)
+            except NotFullRank:
+                pass
             assert (m.rows, rhs.rows) == before
 
 
 # ---------------------------------------------------------------------------
 # the free-pivot minor against the cofactor oracle and the lexicographic
-# selector
+# reference
 
 
 def kernel_steps(m):
@@ -795,20 +811,20 @@ def test_free_pivot_minor_is_the_minor_on_its_columns(field):
             rows = dependent_rows(field, rng, nrows, ncols)
         m = Matrix(field, rows, ncols)
         try:
-            want = select_nonzero_maximal_minor(m)
+            want = lexicographic_minor(m)
         except NotFullRank:
             with pytest.raises(NotFullRank):
-                free_pivot_minor(m)
+                select_nonzero_maximal_minor(m)
             continue
         assert kind != "dependent"
-        sel = free_pivot_minor(m)
+        sel = select_nonzero_maximal_minor(m)
         assert len(sel.col_indices) == len(want.col_indices) == nrows
         assert list(sel.col_indices) == sorted(set(sel.col_indices))
         sub = m.submatrix(range(nrows), sel.col_indices)
         if nrows <= 6:
             value = cofactor_det(dense(sub), field.zero, field.one)
         else:
-            value = select_nonzero_maximal_minor(sub).minor_value
+            value = lexicographic_minor(sub).minor_value
         assert sel.minor_value == sub.det() == value != field.zero
         checked += 1
         lower += lower_level_pivots(m, *kernel_steps(m))
