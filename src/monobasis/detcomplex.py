@@ -22,6 +22,17 @@ the degree-t Koszul complex C_t(S); the resultant and every subresultant
 are computed by it.  The ascending decomposition is unsigned, equal to it
 up to sign; it chooses each stage's rows as the columns of the minor of
 the transposed stage.
+
+On a Koszul complex the descending decomposition first tries, on each
+stage with fewer rows than columns, the minor on that stage's Macaulay
+columns (``GradedComplex.macaulay_columns``; Macaulay 1902, Chardin
+1993), which are named by exponents alone: it is +-1 on the pure powers
+x_i^{d_i}, so non-zero for generic forms, and for the paper's set M0 it
+serves every such stage of Delta.  Its kernel runs on a square matrix
+instead of the whole stage.  Where that minor vanishes the stage takes
+the free-pivot minor of its whole map, as any other complex does; either
+way the value is the same torsion.  Stage 1 of an exact complex is
+square and has no columns to choose.
 """
 from __future__ import annotations
 
@@ -82,8 +93,9 @@ def decompose_ascending(c: GradedComplex) -> DecompositionTrace:
 
 
 def decompose_descending(c: GradedComplex) -> DecompositionTrace:
-    """Splitting from the left-most term, choosing column sets; each
-    stage's minor is signed by the shuffle of its chosen columns."""
+    """Splitting from the left-most term, choosing column sets, each wide
+    stage its Macaulay columns if their minor is non-zero; each stage's
+    minor is signed by the shuffle of its chosen columns."""
     dims = c.dims()
     rows = list(range(dims[c.s]))
     minors = []
@@ -92,7 +104,7 @@ def decompose_descending(c: GradedComplex) -> DecompositionTrace:
         d = c.differentials[k - 1]
         restricted = Matrix(c.field, [d.rows[i] for i in rows], dims[k - 1])
         try:
-            sel = select_nonzero_maximal_minor(restricted)
+            sel = select_nonzero_maximal_minor(restricted, c.macaulay_columns(k))
         except NotFullRank:
             raise NotExact(f"stage {k}: restricted differential is not into") from None
         cols = sel.col_indices

@@ -31,6 +31,7 @@ shared by every row.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -52,9 +53,42 @@ class GradedComplex:
     term_bases: tuple  # term_bases[k] = koszul_term(..., k, S) as a tuple
     differentials: tuple  # [k-1]: term k -> k-1, rows on term k, columns on k-1
     field: object
+    # d_1..d_s, set by build_complex; () if the terms are not in
+    # koszul_term's layout, and then no stage has Macaulay columns
+    degrees: tuple = ()
 
     def dims(self) -> list:
         return [len(b) for b in self.term_bases]
+
+    def macaulay_columns(self, k: int):
+        """Macaulay's columns of stage k >= 2 (Macaulay 1902; on the Koszul
+        complex, Chardin 1993), or None: the elements x^a e_J of term k - 1
+        with a_i >= d_i for some i < min J, a_i the exponent of the variable
+        of P_i, the i-th of the last s variables (so never x0 of a
+        homogenized system).
+
+        When stage k + 1 took its own, the rows left to stage k are the
+        x^a e_J with a_i < d_i for every i < min J, as many as these
+        columns; on the pure powers x_i^{d_i} each such row meets just one
+        of them, x^a x_m^{d_m} e_{J - m} with m = min J, so their minor is
+        +-1 there and non-zero for generic forms.  Term k - 1 >= 1 does not
+        hold S, so the list depends only on (nvars, degrees, t, k).
+        """
+        if k < 2 or len(self.degrees) != self.s or self.nvars < self.s:
+            return None
+        return _macaulay_columns(self.nvars, self.degrees, self.t, k)
+
+
+@functools.lru_cache(maxsize=64)
+def _macaulay_columns(nvars: int, degrees: tuple, t: int, k: int) -> tuple:
+    # made once per shape: every system of the same degrees and t asks for
+    # the same lists
+    off = nvars - len(degrees)
+    return tuple(
+        j
+        for j, (a, wedge) in enumerate(_wedge_term(nvars, degrees, t, k - 1))
+        if any(a[off + i] >= degrees[i] for i in range(wedge[0] - 1))
+    )
 
 
 def koszul_term(sys: PolySystem, t: int, k: int, S=()) -> list:
@@ -65,10 +99,15 @@ def koszul_term(sys: PolySystem, t: int, k: int, S=()) -> list:
     if k == 0:
         skip = set(S)
         return [(m, ()) for m in monomials_of_degree(sys.nvars, t) if m not in skip]
+    return _wedge_term(sys.nvars, sys.degrees, t, k)
+
+
+def _wedge_term(nvars: int, degrees: tuple, t: int, k: int) -> list:
+    """Term k >= 1 of C_t(S) for forms of these degrees in nvars variables."""
     return [
         (m, wedge)
-        for wedge in itertools.combinations(range(1, sys.n + 1), k)
-        for m in monomials_of_degree(sys.nvars, t - sum(sys.degrees[i - 1] for i in wedge))
+        for wedge in itertools.combinations(range(1, len(degrees) + 1), k)
+        for m in monomials_of_degree(nvars, t - sum(degrees[i - 1] for i in wedge))
     ]
 
 
@@ -135,4 +174,4 @@ def build_complex(sys: PolySystem, t: int, S) -> GradedComplex:
 
     bases = tuple(tuple(koszul_term(sys, t, k, S)) for k in range(sys.n + 1))
     diffs = tuple(koszul_map(sys, bases[k], bases[k - 1]) for k in range(1, sys.n + 1))
-    return GradedComplex(sys.n, t, v, bases, diffs, sys.field)
+    return GradedComplex(sys.n, t, v, bases, diffs, sys.field, sys.degrees)

@@ -22,7 +22,10 @@ pivot order is free.  A maximal minor chosen this way
 (``select_nonzero_maximal_minor``) follows the sparsity of the matrix, not
 the order of its columns, and is signed by both the row and the column
 permutation that put its pivots in step order; the determinant of an
-exact complex does not depend on which minors its stages take.
+exact complex does not depend on which minors its stages take.  Given a
+square choice of columns, as the descending decomposition gives each wide
+Koszul stage, the selector runs the kernel on the rows restricted to them
+first, and on the whole matrix only when that minor vanishes.
 
 A rank over Q is first taken mod the prime P = 2**30 - 35, entry by entry
 (n/d to n * d^-1 mod P).  That scales each row of the row-cleared integer
@@ -190,16 +193,18 @@ def _pivot(rows: list, p=None, m=None) -> tuple:
     return order, cols, factor if p else prev[-1]
 
 
-def _integral(rows) -> tuple:
+def _integral(rows, keep=None) -> tuple:
     """Rational dict rows, each cleared to integers by its own common
-    denominator, and the product of those denominators."""
+    denominator, and the product of those denominators.  With ``keep``
+    the copies hold only the entries in those columns."""
     scale, work = 1, []
     for row in rows:
         # folded, not lcm(*...): short argument tuples would pile up in the
         # interpreter's tuple free lists until a full collection
         den = reduce(lcm, (e.denominator for e in row.values()), 1)
         scale *= den
-        work.append({j: e.numerator * (den // e.denominator) for j, e in row.items()})
+        work.append({j: e.numerator * (den // e.denominator)
+                     for j, e in row.items() if keep is None or j in keep})
     return work, scale
 
 
@@ -225,20 +230,23 @@ def _residues(rows):
     return out
 
 
-def _exact(field, rows) -> tuple:
-    """Copies of dict rows of field elements for the kernel: residues mod
-    p, or integers by ``_integral`` over Q; the product of the cleared
+def _exact(field, rows, keep=None) -> tuple:
+    """Copies of dict rows of field elements for the kernel, of their
+    entries in the columns ``keep`` if it is given: residues mod p, or
+    integers by ``_integral`` over Q; the product of the cleared
     denominators (1 mod p), and the prime, None over Q."""
     if isinstance(field, PrimeField):
-        return [{j: e.val for j, e in row.items()} for row in rows], 1, field.p
-    return (*_integral(rows), None)
+        work = [{j: e.val for j, e in row.items() if keep is None or j in keep} for row in rows]
+        return work, 1, field.p
+    return (*_integral(rows, keep), None)
 
 
-def _minor(field, rows) -> tuple:
-    """The free-pivot kernel on a copy of dict rows of field elements: its
-    pivot columns, sorted, and the minor on every row and those columns,
-    or None in its place when the rows are dependent."""
-    work, scale, p = _exact(field, rows)
+def _minor(field, rows, keep=None) -> tuple:
+    """The free-pivot kernel on a copy of dict rows of field elements, of
+    their columns in ``keep`` if it is given: its pivot columns, sorted,
+    and the minor on every row and those columns, or None in its place
+    when the rows are dependent."""
+    work, scale, p = _exact(field, rows, keep)
     order, cols, factor = _pivot(work, p)
     chosen = tuple(sorted(cols))
     if len(order) < len(rows):
@@ -382,14 +390,25 @@ class MinorSelection:
     minor_value: object
 
 
-def select_nonzero_maximal_minor(m: Matrix) -> MinorSelection:
-    """A non-zero maximal minor of a map that is onto (full row rank):
-    every row and the pivot columns of the free-pivot kernel.  The choice
-    is deterministic but not lexicographic: it follows the sparsity of the
-    matrix rather than the order of its columns.  Raises NotFullRank when
-    the rows are dependent.
+def select_nonzero_maximal_minor(m: Matrix, cols=None) -> MinorSelection:
+    """A non-zero maximal minor of a map that is onto (full row rank).
+
+    Given ``cols``, as many columns as ``m`` has rows and fewer than its
+    columns, it is the minor on every row and those columns if that is
+    non-zero: the kernel runs once, on a copy of the rows restricted to
+    them.  Otherwise, and on a square matrix or a ``cols`` of another
+    length, it is every row and the pivot columns of the free-pivot kernel
+    on the whole matrix, a choice that is deterministic but not
+    lexicographic: it follows the sparsity of the matrix rather than the
+    order of its columns.  Raises NotFullRank when the rows are dependent.
     """
-    cols, value = _minor(m.field, m.rows)
+    if cols is not None and len(cols) == m.nrows < m.ncols:
+        chosen, value = _minor(m.field, m.rows, set(cols))
+        if value is not None:
+            return MinorSelection(chosen, value)
+    chosen, value = _minor(m.field, m.rows)
     if value is None:
-        raise NotFullRank(f"no non-zero maximal minor ({len(cols)} of {m.nrows} rows independent)")
-    return MinorSelection(cols, value)
+        raise NotFullRank(
+            f"no non-zero maximal minor ({len(chosen)} of {m.nrows} rows independent)"
+        )
+    return MinorSelection(chosen, value)

@@ -1,4 +1,5 @@
 """Determinants of exact complexes: two decomposition orders must agree."""
+import dataclasses
 import math
 import random
 
@@ -21,12 +22,15 @@ from monobasis import (
     m0_set,
     monomials_of_degree,
 )
+from monobasis import linalg
+from monobasis.cli import parse_poly
 from monobasis.hilbert import DegreeProfile, hilbert_H
 from monobasis.resultants import _diagonal_sign
 from monobasis.subresultants import required_cardinality
 
 from conftest import lifted_m0
 from lexicographic import lexicographic_minor
+from sweep import seeded_system
 
 F101 = GF(101)
 
@@ -305,15 +309,19 @@ def lexicographic_descending(c):
     return delta
 
 
-def sparse_affine(rng, field, degrees):
+def sparse_affine(rng, field, degrees, monic=True):
     """f_i = x_i^{d_i} plus one to three terms of degree at most d_i with
-    coefficients in -3..3 (zero mod 3 included)."""
+    coefficients in -3..3 (zero mod 3 included); not monic, a random
+    monomial of degree d_i in place of x_i^{d_i}."""
     n = len(degrees)
     polys = []
     for i, d in enumerate(degrees):
         pool = [m for e in range(d + 1) for m in monomials_of_degree(n, e)]
         terms = {m: field.of(rng.randrange(-3, 4)) for m in rng.sample(pool, rng.randrange(1, 4))}
-        terms[tuple(d if j == i else 0 for j in range(n))] = field.one
+        if monic:
+            terms[tuple(d if j == i else 0 for j in range(n))] = field.one
+        else:
+            terms[rng.choice(monomials_of_degree(n, d))] = field.one
         polys.append(MultiPoly(field, n, {m: e for m, e in terms.items() if e}))
     return PolySystem(polys, tuple(degrees))
 
@@ -359,3 +367,118 @@ def test_free_pivot_descending_equals_the_lexicographic_one(field):
         value = decompose_descending(c).delta
         assert value == lexicographic_descending(c) == field.of(_diagonal_sign(degrees))
         assert decompose_ascending(c).delta in (value, -value)
+
+
+# ---------------------------------------------------------------------------
+# Macaulay's columns first, the free pivot as the fallback
+
+# the (2,2,2) system of the ROADMAP: Res 115 and Delta(M0) -16 over Q, 14
+# and 85 over F_101; Macaulay's columns of one stage of its resultant
+# complex have a vanishing minor
+FIXED = ("x1*x2 + x1*x3 + x2^2 + x1", "x1^2 - x1*x3 + x2*x3 + 1", "3*x1^2 - x2^2 + x3^2")
+
+
+def fixed_system(field):
+    return PolySystem([parse_poly(t, 3, field) for t in FIXED], (2, 2, 2))
+
+
+def certificate_complexes(sys_, M):
+    """The resultant complex of the leading forms and the complex of
+    Delta(M), as ``certify_basis`` builds them."""
+    rho = sum(sys_.degrees) - sys_.n
+    return (build_complex(sys_.leading_forms(), rho + 1, ()),
+            build_complex(sys_.homogenized(), M.delta, M.homogenized_at(M.delta)))
+
+
+def free_descending(c):
+    """The descending value with every stage's minor from the free pivot
+    on its whole restricted map: c without the degrees that name the
+    Macaulay columns."""
+    return decompose_descending(dataclasses.replace(c, degrees=())).delta
+
+
+def spy_on_given_columns(monkeypatch):
+    """Whether each minor on given columns was non-zero, in call order."""
+    taken, minor = [], linalg._minor
+
+    def spy(field, rows, keep=None):
+        out = minor(field, rows, keep)
+        if keep is not None:
+            taken.append(out[1] is not None)
+        return out
+
+    monkeypatch.setattr(linalg, "_minor", spy)
+    return taken
+
+
+@pytest.mark.parametrize("field", [GF(3), F101, QQ], ids=["F3", "F101", "Q"])
+def test_macaulay_columns_keep_the_descending_value(field, monkeypatch):
+    """Taking each wide stage's minor on its Macaulay columns when it is
+    non-zero gives the free-pivot value exactly, sign included, and fails
+    on the same complexes: seeded dense and sparse homogenized systems at
+    t = delta(M) and one above, with M0, M0 lifted and random sets, their
+    leading forms' resultant complexes, the pure powers, whose value is
+    the resultant's sign, and the ROADMAP system, where a Macaulay minor
+    vanishes."""
+    rng = random.Random(f"macaulay-{field.name}")
+    taken = spy_on_given_columns(monkeypatch)
+    coefficients = range(-5, 6) if field is QQ else range(field.p)
+    complexes = []
+    for seed, degrees in enumerate(((2, 2), (3, 2), (2, 2, 2), (3, 2, 2), (2, 2, 2, 2))):
+        n, rho = len(degrees), sum(degrees) - len(degrees)
+        monos = [m for e in range(rho + 2) for m in monomials_of_degree(n, e)]
+        for sys_ in (seeded_system(seed, degrees, field, coefficients),
+                     sparse_affine(rng, field, degrees),
+                     sparse_affine(rng, field, degrees, monic=False)):
+            hom = sys_.homogenized()
+            for M in (m0_set(degrees), lifted_m0(degrees),
+                      MonomialSet(rng.sample(monos, math.prod(degrees)))):
+                for t in (M.delta, M.delta + 1):
+                    complexes.append(build_complex(hom, t, M.homogenized_at(t)))
+            complexes.append(build_complex(sys_.leading_forms(), rho + 1, ()))
+    exact = 0
+    for c in complexes:
+        try:
+            want = free_descending(c)
+        except NotExact:
+            with pytest.raises(NotExact):
+                decompose_descending(c)
+            continue
+        assert decompose_descending(c).delta == want
+        exact += 1
+    assert exact >= 25 and len(complexes) - exact >= 10
+    for degrees in ((2, 2), (3, 2), (2, 3), (2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 2, 2)):
+        n = len(degrees)
+        forms = PolySystem([MultiPoly.monomial(field, tuple(d if j == i else 0 for j in range(n)))
+                            for i, d in enumerate(degrees)], degrees)
+        c = build_complex(forms, sum(degrees) - n + 1, ())
+        sign = field.of(_diagonal_sign(degrees))
+        assert decompose_descending(c).delta == free_descending(c) == sign
+    for c in certificate_complexes(fixed_system(field), m0_set((2, 2, 2))):
+        assert decompose_descending(c).delta == free_descending(c)
+    assert taken.count(True) >= 100 and taken.count(False) >= 20
+
+
+def test_wide_stages_take_their_macaulay_columns(monkeypatch):
+    """The kernel never sees a wide matrix in the certificate of a dense
+    (2,2,2,2) system over F_101 with M0: every wide stage's Macaulay minor
+    is non-zero.  On the ROADMAP system one is not, and the free pivot
+    takes that stage whole."""
+    wide = []
+
+    def spy(rows, p=None, m=None):
+        wide.append(len(set().union(*rows)) > len(rows))
+        return pivot(rows, p, m)
+
+    pivot = linalg._pivot
+    monkeypatch.setattr(linalg, "_pivot", spy)
+    degrees = (2, 2, 2, 2)
+    sys_ = seeded_system(1, degrees, F101, range(-5, 6))
+    values = [decompose_descending(c).delta for c in certificate_complexes(sys_, m0_set(degrees))]
+    assert all(values) and len(wide) >= 6 and not any(wide)
+    for field, res, delta in ((QQ, 115, -16), (F101, 14, 85)):
+        wide.clear()
+        forms, hom = certificate_complexes(fixed_system(field), m0_set((2, 2, 2)))
+        value = decompose_descending(forms).delta * _diagonal_sign((2, 2, 2))
+        assert (value, decompose_descending(hom).delta) == (field.of(res), field.of(delta))
+        assert any(wide)

@@ -829,3 +829,56 @@ def test_free_pivot_minor_is_the_minor_on_its_columns(field):
         checked += 1
         lower += lower_level_pivots(m, *kernel_steps(m))
     assert checked >= 20 and lower >= 30
+
+
+# ---------------------------------------------------------------------------
+# the selector on given columns
+
+
+@pytest.mark.parametrize("field", [F3, F101, FP, QQ], ids=["F3", "F101", "FP", "Q"])
+def test_selector_takes_the_given_columns_when_their_minor_is_nonzero(field, monkeypatch):
+    """Given as many columns as rows, and fewer than all, the selection is
+    those columns, sorted, with the cofactor determinant on them, when it
+    is non-zero, and the free-pivot selection otherwise.  Columns on a
+    square matrix, or of another length, change nothing: the kernel runs
+    once, on the whole matrix.  Dependent rows raise NotFullRank whatever
+    columns are given."""
+    rng = random.Random(f"given-columns-{field.name}")
+    calls = spy_on_pivot(monkeypatch)
+    taken = fallen = ignored = raised = 0
+    for _ in range(150):
+        nrows = rng.randrange(0, 5)
+        ncols = nrows + rng.randrange(0, 4)
+        m = Matrix(field, random_matrix(field, rng, nrows, ncols), ncols)
+        try:
+            free = select_nonzero_maximal_minor(m)
+        except NotFullRank:
+            free = None
+        for size in (nrows - 1, nrows, nrows + 1):
+            if not 0 <= size <= ncols:
+                continue
+            if rng.random() < 0.8:
+                cols = rng.sample(range(ncols), size)
+            else:  # repeats, so that a square matrix gets columns other than its own
+                cols = rng.choices(range(ncols), k=size)
+            wide = size == nrows < ncols
+            calls.clear()
+            if free is None:
+                with pytest.raises(NotFullRank):
+                    select_nonzero_maximal_minor(m, cols)
+                assert len(calls) == 1 + wide
+                raised += 1
+                continue
+            sel = select_nonzero_maximal_minor(m, cols)
+            value = wide and cofactor_det([[r[j] for j in sorted(cols)] for r in dense(m)],
+                                          field.zero, field.one)
+            if value:
+                assert (sel.col_indices, sel.minor_value) == (tuple(sorted(cols)), value)
+                assert len(calls) == 1
+                taken += 1
+            else:
+                assert sel == free
+                assert len(calls) == 1 + wide
+                fallen += wide
+                ignored += not wide
+    assert min(taken, fallen, ignored, raised) >= 10, (taken, fallen, ignored, raised)
