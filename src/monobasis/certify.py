@@ -9,6 +9,7 @@ roots are known in closed form.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ from .polynomials import (
     PolySystem,
     homogenize,
     m0_set,
+    monomials_of_degree,
 )
 from .resultants import classical_subresultants, macaulay_matrix, resultant_macaulay
 from .subresultants import subresultant_D, subresultant_delta
@@ -94,6 +96,32 @@ def certify_basis(sys: PolySystem, M: MonomialSet) -> BasisCertificate:
 # the independent rank test
 
 
+@functools.lru_cache(maxsize=64)
+def _macaulay_rows(nvars: int, degrees: tuple, t: int) -> tuple:
+    """Macaulay's rows of ``macaulay_matrix`` in degree t (Macaulay 1902):
+    the indices of the rows x^b f_i with b_j < d_j for every j < i, b_j the
+    exponent of the variable of f_j, the j-th of the last n variables (so
+    never x0 of a homogenized system).  Made once per shape: every system
+    of the same degrees asks for the same tuple."""
+    off = nvars - len(degrees)
+    rows, r = [], 0
+    for i, d in enumerate(degrees):
+        for b in monomials_of_degree(nvars, t - d):
+            if all(b[off + j] < degrees[j] for j in range(i)):
+                rows.append(r)
+            r += 1
+    return tuple(rows)
+
+
+def _onto(sys: PolySystem, t: int, S=()) -> bool:
+    """Whether the Macaulay map of ``sys`` is onto the degree-t monomials
+    outside S: ranked on Macaulay's rows first, on every row if they fall
+    short."""
+    target = koszul_term(sys, t, 0, S)
+    rows = _macaulay_rows(sys.nvars, sys.degrees, t)
+    return macaulay_matrix(sys, target).rank(rows) == len(target)
+
+
 def rank_oracle(sys: PolySystem, M: MonomialSet) -> bool:
     """The basis test as two rank tests on Macaulay matrices.
 
@@ -107,16 +135,24 @@ def rank_oracle(sys: PolySystem, M: MonomialSet) -> bool:
     quotient is the affine quotient.  Hence, at t = max(delta, rho), M is a
     basis exactly when the Macaulay map of the homogenized system is onto
     the degree-t monomials outside M_t.
+
+    Each test is ranked first on Macaulay's rows, the x^b f_i with
+    b_j < d_j for every j < i (``_macaulay_rows``).  At t >= rho they
+    correspond one to one to the degree-t monomials that some x_i^{d_i}
+    divides, which are as many as the columns of both tests: all degree-t
+    monomials of the leading forms at rho + 1, and the degree-t monomials
+    outside M_t, #M_t = d_1*...*d_n of them, for any M.  On the pure powers
+    their square matrix is a permutation matrix, so for generic systems
+    with a basis like M0 it has full rank; for a non-basis it is singular.
+    Full rank on any subset of the rows proves the map onto, so the row
+    choice only saves work: when the square count falls short, mod p or
+    mod 2**30 - 35 over Q, every row is ranked as ``Matrix.rank`` ranks it.
     """
     profile = _check_question(sys, M)
-    forms = sys.leading_forms()
-    top = koszul_term(forms, profile.rho + 1, 0)
-    if macaulay_matrix(forms, top).rank() < len(top):
+    if not _onto(sys.leading_forms(), profile.rho + 1):
         return False
     t = max(M.delta, profile.rho)
-    hom = sys.homogenized()
-    outside = koszul_term(hom, t, 0, M.homogenized_at(t))
-    return macaulay_matrix(hom, outside).rank() == len(outside)
+    return _onto(sys.homogenized(), t, M.homogenized_at(t))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,13 @@ permutation that put its pivots in step order; the determinant of an
 exact complex does not depend on which minors its stages take.  Given a
 square choice of columns, as the descending decomposition gives each wide
 Koszul stage, the selector runs the kernel on the rows restricted to them
-first, and on the whole matrix only when that minor vanishes.
+first, and on the whole matrix only when that minor vanishes.  The rank
+mirrors it: given a square choice of rows, as the rank oracle gives each
+tall Macaulay matrix, it ranks those rows first, and the whole matrix
+only when they fall short.  A full rank on some rows is the full column
+rank of the matrix, so the choice only saves work.  On these square
+attempts the kernel stops at the first row that cancels to nothing,
+which alone proves the rows dependent.
 
 A rank over Q is first taken mod the prime P = 2**30 - 35, entry by entry
 (n/d to n * d^-1 mod P).  That scales each row of the row-cleared integer
@@ -35,7 +41,8 @@ is the rank over Q.  P is the largest prime below 2**30, one CPython digit,
 so the kernel's products and reductions mod P stay on the one-digit path
 of CPython's long arithmetic.  Any other count, and any matrix with a
 denominator divisible by P, is re-done by the same kernel over Z, so every
-answer stays exact.
+answer stays exact; a square choice of rows is only tried mod P, and when
+it falls short the whole matrix is ranked as above.
 
 ``solve`` runs the kernel on the rows of [A | B], where a pivot row takes
 a column of B only when it holds no column of A: such a row, a
@@ -77,7 +84,7 @@ def _permutation_sign(order: list) -> int:
     return sign
 
 
-def _pivot(rows: list, p=None, m=None) -> tuple:
+def _pivot(rows: list, p=None, m=None, stop=False) -> tuple:
     """The free-pivot kernel: forward elimination, in place, of dict rows
     of residues mod the prime p, or of integers if p is None.
 
@@ -90,7 +97,10 @@ def _pivot(rows: list, p=None, m=None) -> tuple:
     columns of A) a row takes a column >= m only when it holds none below.
     Returns the indices of the pivot rows and the pivot columns in step
     order, and the minor on them in that order: the product of the pivots
-    mod p, the last pivot over Z.
+    mod p, the last pivot over Z.  With ``stop`` set it returns the steps
+    taken so far as soon as a row is or becomes empty: that row alone
+    proves the rows dependent, all that a caller asking whether every row
+    pivots needs to know (on a square input, whether it is non-singular).
     """
     count = {}  # column -> the number of remaining rows holding it
     holders = {}  # column -> the rows that have held it, since-cleared ones too
@@ -104,6 +114,8 @@ def _pivot(rows: list, p=None, m=None) -> tuple:
     for i, row in enumerate(rows):
         if row:
             buckets.setdefault(len(row), []).append(i)
+        elif stop:
+            return [], [], 1
     lengths = list(buckets)  # a heap of the keys of buckets
     heapify(lengths)
     level = [0] * len(rows)  # over Z: the pivot steps each row was brought up to
@@ -187,6 +199,8 @@ def _pivot(rows: list, p=None, m=None) -> tuple:
                 else:
                     buckets[n] = [h]
                     heappush(lengths, n)
+            elif stop:
+                return order, cols, factor if p else prev[-1]
         for j, _ in tail:
             if not count[j]:
                 del count[j], holders[j]
@@ -208,11 +222,14 @@ def _integral(rows, keep=None) -> tuple:
     return work, scale
 
 
-def _residues(rows):
-    """Rational dict rows mod _P, entry by entry, or None if a denominator
-    is a multiple of _P.  Each row is its integral row from ``_integral``
-    times the inverse of its denominator, a unit mod _P: the rank mod _P
-    is the same."""
+def _residues(field, rows):
+    """Copies of dict rows of field elements mod the prime of the rank
+    test: their values mod p, or, over Q, the rows mod _P, entry by entry,
+    or None if a denominator is a multiple of _P.  Each rational row is its
+    integral row from ``_integral`` times the inverse of its denominator, a
+    unit mod _P: the rank mod _P is the same."""
+    if isinstance(field, PrimeField):
+        return [{j: e.val for j, e in row.items()} for row in rows]
     out = []
     for row in rows:
         res = {}
@@ -241,13 +258,14 @@ def _exact(field, rows, keep=None) -> tuple:
     return (*_integral(rows, keep), None)
 
 
-def _minor(field, rows, keep=None) -> tuple:
+def _minor(field, rows, keep=None, stop=False) -> tuple:
     """The free-pivot kernel on a copy of dict rows of field elements, of
     their columns in ``keep`` if it is given: its pivot columns, sorted,
     and the minor on every row and those columns, or None in its place
-    when the rows are dependent."""
+    when the rows are dependent.  With ``stop`` the kernel returns at the
+    first row that cancels, and the columns are those pivoted by then."""
     work, scale, p = _exact(field, rows, keep)
-    order, cols, factor = _pivot(work, p)
+    order, cols, factor = _pivot(work, p, stop=stop)
     chosen = tuple(sorted(cols))
     if len(order) < len(rows):
         return chosen, None
@@ -321,20 +339,33 @@ class Matrix:
     def det(self):
         if self.nrows != self.ncols:
             raise ShapeError("determinant of a non-square matrix")
-        value = _minor(self.field, self.rows)[1]
+        value = _minor(self.field, self.rows, stop=True)[1]
         return self.field.zero if value is None else value
 
-    def rank(self) -> int:
+    def rank(self, rows=None) -> int:
         """The rank, by the free-pivot kernel.  Over Q it is taken mod P
         first; a rank mod P short of min(nrows, ncols), or a denominator
-        divisible by P, is re-done exactly, by the same kernel over Z."""
-        if isinstance(self.field, PrimeField):
-            residues = [{j: e.val for j, e in row.items()} for row in self.rows]
-            return len(_pivot(residues, self.field.p)[1])
-        residues = _residues(self.rows)
+        divisible by P, is re-done exactly, by the same kernel over Z.
+
+        Given ``rows``, as many row indices as there are columns and fewer
+        than all rows, the kernel first runs on a copy of those rows alone,
+        mod p or mod P, and stops at the first row that cancels.  If every
+        row pivots, the columns are spanned and the rank is ncols: a full
+        rank mod P is the rank over Q, as above.  Otherwise, and for
+        ``rows`` of another length, the rank is that of the whole matrix,
+        as without them; a short count mod P on the chosen rows is never
+        re-done over Z.
+        """
+        prime = isinstance(self.field, PrimeField)
+        p = self.field.p if prime else _P
+        if rows is not None and len(rows) == self.ncols < self.nrows:
+            square = _residues(self.field, [self.rows[i] for i in rows])
+            if square is not None and len(_pivot(square, p, stop=True)[1]) == self.ncols:
+                return self.ncols
+        residues = _residues(self.field, self.rows)
         if residues is not None:
-            rank = len(_pivot(residues, _P)[1])
-            if rank == min(self.nrows, self.ncols):
+            rank = len(_pivot(residues, p)[1])
+            if prime or rank == min(self.nrows, self.ncols):
                 return rank
         return len(_pivot(_integral(self.rows)[0])[1])
 
@@ -403,7 +434,7 @@ def select_nonzero_maximal_minor(m: Matrix, cols=None) -> MinorSelection:
     order of its columns.  Raises NotFullRank when the rows are dependent.
     """
     if cols is not None and len(cols) == m.nrows < m.ncols:
-        chosen, value = _minor(m.field, m.rows, set(cols))
+        chosen, value = _minor(m.field, m.rows, set(cols), stop=True)
         if value is not None:
             return MinorSelection(chosen, value)
     chosen, value = _minor(m.field, m.rows)

@@ -47,3 +47,20 @@ def lifted_m0(degrees):
     top = tuple(d - 1 for d in degrees)
     rest = [m for m in m0_set(degrees) if m != top]
     return MonomialSet(rest + [(top[0] + 1,) + top[1:]])
+
+
+def sparse_affine(rng, field, degrees, monic=True):
+    """f_i = x_i^{d_i} plus one to three terms of degree at most d_i with
+    coefficients in -3..3 (zero mod 3 included); not monic, a random
+    monomial of degree d_i in place of x_i^{d_i}."""
+    n = len(degrees)
+    polys = []
+    for i, d in enumerate(degrees):
+        pool = [m for e in range(d + 1) for m in monomials_of_degree(n, e)]
+        terms = {m: field.of(rng.randrange(-3, 4)) for m in rng.sample(pool, rng.randrange(1, 4))}
+        if monic:
+            terms[tuple(d if j == i else 0 for j in range(n))] = field.one
+        else:
+            terms[rng.choice(monomials_of_degree(n, d))] = field.one
+        polys.append(MultiPoly(field, n, {m: e for m, e in terms.items() if e}))
+    return PolySystem(polys, tuple(degrees))

@@ -1,4 +1,5 @@
 """End-to-end certification, Vandermonde identities, multiplication matrices."""
+import math
 import random
 from fractions import Fraction
 
@@ -28,12 +29,15 @@ from monobasis import (
     upsilon_bivariate,
     vandermonde_verify,
 )
-from monobasis.certify import m1_set
+from monobasis import linalg
+from monobasis.certify import _macaulay_rows, m1_set
 from monobasis.cli import parse_poly
+from monobasis.koszul import koszul_term
 from monobasis.linalg import _P
+from monobasis.resultants import macaulay_matrix
 
-from conftest import identity_matrix, random_system
-from sweep import sweep
+from conftest import identity_matrix, lifted_m0, random_system, sparse_affine
+from sweep import seeded_system, sweep
 
 F13 = GF(13)
 F101 = GF(101)
@@ -348,6 +352,114 @@ def test_rank_oracle_rejects_leading_forms_with_a_common_zero():
         # the leading forms x1*x2, x2*x3, x1*x3 share the zero (1 : 0 : 0)
         assert all(not f.evaluate((1, 0, 0)) for f in sys_.leading_forms().polys)
         assert rank_oracle(sys_, m0_set((2, 2, 2))) is False
+
+
+def test_macaulay_rows_are_a_permutation_on_the_pure_powers():
+    """On x_1^{d_1}, ..., x_n^{d_n} each of Macaulay's rows holds one entry,
+    and no two the same column, in both of the oracle's matrices: the
+    leading forms' at rho + 1 and the homogenized system's onto the
+    monomials outside M0 at rho and rho + 1, where x0 never counts.  For
+    any set M of d_1*...*d_n monomials the rows are as many as the
+    columns."""
+    rng = random.Random("macaulay-rows")
+    for degrees in ((2, 2), (3, 2), (2, 3), (2, 2, 2), (3, 2, 2), (2, 3, 2)):
+        n, rho = len(degrees), sum(degrees) - len(degrees)
+        powers = PolySystem([MultiPoly.monomial(QQ, tuple(d if j == i else 0 for j in range(n)))
+                             for i, d in enumerate(degrees)], degrees)
+        hom = powers.homogenized()
+        cases = [(powers, rho + 1, koszul_term(powers, rho + 1, 0))]
+        cases += [(hom, t, koszul_term(hom, t, 0, m0_set(degrees).homogenized_at(t)))
+                  for t in (rho, rho + 1)]
+        for sys_, t, target in cases:
+            m = macaulay_matrix(sys_, target)
+            picked = [m.rows[i] for i in _macaulay_rows(sys_.nvars, degrees, t)]
+            assert all(len(row) == 1 for row in picked)
+            assert sorted(j for row in picked for j in row) == list(range(len(target)))
+        monos = [m for e in range(rho + 2) for m in monomials_of_degree(n, e)]
+        for _ in range(5):
+            M = MonomialSet(rng.sample(monos, math.prod(degrees)))
+            t = max(M.delta, rho)
+            outside = koszul_term(hom, t, 0, M.homogenized_at(t))
+            assert len(_macaulay_rows(hom.nvars, degrees, t)) == len(outside)
+
+
+def whole_matrix_oracle(sys_, M):
+    """``rank_oracle``'s two tests, each on every row of its Macaulay matrix."""
+    rho = DegreeProfile(sys_.degrees).rho
+    forms, hom = sys_.leading_forms(), sys_.homogenized()
+    t = max(M.delta, rho)
+    tests = ((forms, koszul_term(forms, rho + 1, 0)),
+             (hom, koszul_term(hom, t, 0, M.homogenized_at(t))))
+    return all(macaulay_matrix(s, target).rank() == len(target) for s, target in tests)
+
+
+def spy_on_square_attempts(monkeypatch):
+    """For each kernel call that stops at the first cancelled row, the rank
+    attempts on Macaulay's rows among them: whether every row pivoted."""
+    proved, pivot = [], linalg._pivot
+
+    def spy(rows, p=None, m=None, stop=False):
+        out = pivot(rows, p, m, stop)
+        if stop:
+            proved.append(len(out[0]) == len(rows))
+        return out
+
+    monkeypatch.setattr(linalg, "_pivot", spy)
+    return proved
+
+
+@pytest.mark.parametrize("field", [GF(3), F101, QQ], ids=["F3", "F101", "Q"])
+def test_rank_oracle_equals_its_tests_on_every_row(field, monkeypatch):
+    """Ranking on Macaulay's rows first changes no answer: seeded dense,
+    sparse and non-monic sparse systems with M0, M0 lifted, a non-basis of
+    monomials below degree rho (there they span a space of dimension
+    d_1*...*d_n - 1 when Res != 0) and random sets, the ROADMAP system
+    and the system with a coefficient _P.  Both outcomes of the square
+    attempt occur: a proof on Macaulay's rows, and a fallback to every
+    row."""
+    rng = random.Random(f"oracle-rows-{field.name}")
+    proved = spy_on_square_attempts(monkeypatch)
+    coefficients = range(-5, 6) if field is QQ else range(field.p)
+    questions = []
+    for seed, degrees in enumerate(((2, 2), (3, 2), (2, 2, 2), (3, 2, 2))):
+        n, rho, bezout = len(degrees), sum(degrees) - len(degrees), math.prod(degrees)
+        low = [m for e in range(rho) for m in monomials_of_degree(n, e)]
+        monos = low + [m for e in range(rho, rho + 2) for m in monomials_of_degree(n, e)]
+        sets = [m0_set(degrees), lifted_m0(degrees)]
+        if len(low) >= bezout:
+            sets.append(MonomialSet(low[:bezout]))
+        for draw in range(4):
+            for sys_ in (seeded_system(4 * draw + seed, degrees, field, coefficients),
+                         sparse_affine(rng, field, degrees),
+                         sparse_affine(rng, field, degrees, monic=False)):
+                for M in sets + [MonomialSet(rng.sample(monos, bezout)) for _ in range(2)]:
+                    questions.append((sys_, M))
+    questions.append((parsed_system(["x1*x2 + x1*x3 + x2^2 + x1", "x1^2 - x1*x3 + x2*x3 + 1",
+                                     "3*x1^2 - x2^2 + x3^2"], (2, 2, 2), field), m0_set((2, 2, 2))))
+    questions.append((parsed_system([f"{_P}*x1^2 + x2 - 1", "x2^2 - x1"], (2, 2), field),
+                      m0_set((2, 2))))
+    verdicts = set()
+    for sys_, M in questions:
+        answer = rank_oracle(sys_, M)
+        assert answer == whole_matrix_oracle(sys_, M)
+        verdicts.add(answer)
+    assert verdicts == {True, False}
+    assert proved.count(True) >= 50 and proved.count(False) >= 20, proved
+
+
+def test_rank_oracle_ranks_square_matrices_only_on_a_dense_system(monkeypatch):
+    """For a dense (2,2,2,2) system over F_101 and M0, Macaulay's rows prove
+    both tests: the kernel sees two square matrices and nothing else."""
+    shapes, pivot = [], linalg._pivot
+
+    def spy(rows, p=None, m=None, stop=False):
+        shapes.append((len(rows), len(set().union(*rows))))
+        return pivot(rows, p, m, stop)
+
+    monkeypatch.setattr(linalg, "_pivot", spy)
+    degrees = (2, 2, 2, 2)
+    assert rank_oracle(seeded_system(1, degrees, F101, range(-5, 6)), m0_set(degrees))
+    assert len(shapes) == 2 and all(r == c for r, c in shapes), shapes
 
 
 def test_huge_exponent_is_an_input_error_not_an_enumeration():

@@ -28,7 +28,7 @@ from monobasis.hilbert import DegreeProfile, hilbert_H
 from monobasis.resultants import _diagonal_sign
 from monobasis.subresultants import required_cardinality
 
-from conftest import lifted_m0
+from conftest import lifted_m0, sparse_affine
 from lexicographic import lexicographic_minor
 from sweep import seeded_system
 
@@ -309,23 +309,6 @@ def lexicographic_descending(c):
     return delta
 
 
-def sparse_affine(rng, field, degrees, monic=True):
-    """f_i = x_i^{d_i} plus one to three terms of degree at most d_i with
-    coefficients in -3..3 (zero mod 3 included); not monic, a random
-    monomial of degree d_i in place of x_i^{d_i}."""
-    n = len(degrees)
-    polys = []
-    for i, d in enumerate(degrees):
-        pool = [m for e in range(d + 1) for m in monomials_of_degree(n, e)]
-        terms = {m: field.of(rng.randrange(-3, 4)) for m in rng.sample(pool, rng.randrange(1, 4))}
-        if monic:
-            terms[tuple(d if j == i else 0 for j in range(n))] = field.one
-        else:
-            terms[rng.choice(monomials_of_degree(n, d))] = field.one
-        polys.append(MultiPoly(field, n, {m: e for m, e in terms.items() if e}))
-    return PolySystem(polys, tuple(degrees))
-
-
 @pytest.mark.parametrize("field", [GF(3), F101, QQ], ids=["F3", "F101", "Q"])
 def test_free_pivot_descending_equals_the_lexicographic_one(field):
     """The free-pivot stage minors give the same signed value as the
@@ -401,8 +384,8 @@ def spy_on_given_columns(monkeypatch):
     """Whether each minor on given columns was non-zero, in call order."""
     taken, minor = [], linalg._minor
 
-    def spy(field, rows, keep=None):
-        out = minor(field, rows, keep)
+    def spy(field, rows, keep=None, stop=False):
+        out = minor(field, rows, keep, stop)
         if keep is not None:
             taken.append(out[1] is not None)
         return out
@@ -466,9 +449,9 @@ def test_wide_stages_take_their_macaulay_columns(monkeypatch):
     takes that stage whole."""
     wide = []
 
-    def spy(rows, p=None, m=None):
+    def spy(rows, p=None, m=None, stop=False):
         wide.append(len(set().union(*rows)) > len(rows))
-        return pivot(rows, p, m)
+        return pivot(rows, p, m, stop)
 
     pivot = linalg._pivot
     monkeypatch.setattr(linalg, "_pivot", spy)
@@ -482,3 +465,29 @@ def test_wide_stages_take_their_macaulay_columns(monkeypatch):
         value = decompose_descending(forms).delta * _diagonal_sign((2, 2, 2))
         assert (value, decompose_descending(hom).delta) == (field.of(res), field.of(delta))
         assert any(wide)
+
+
+def test_a_vanishing_macaulay_minor_stops_at_its_first_cancelled_row(monkeypatch):
+    """On the ROADMAP system a stage's Macaulay minor vanishes.  Its square
+    attempt returns as soon as a row cancels, before it has pivoted every
+    row it could: a full run on the same rows pivots more.  Res and
+    Delta(M0) do not move."""
+    steps = []
+
+    def spy(rows, p=None, m=None, stop=False):
+        if stop:
+            full = pivot([dict(r) for r in rows], p, m)
+            out = pivot(rows, p, m, stop)
+            steps.append((len(rows), len(out[0]), len(full[0])))
+            return out
+        return pivot(rows, p, m, stop)
+
+    pivot = linalg._pivot
+    monkeypatch.setattr(linalg, "_pivot", spy)
+    for field, res, delta in ((QQ, 115, -16), (F101, 14, 85)):
+        steps.clear()
+        forms, hom = certificate_complexes(fixed_system(field), m0_set((2, 2, 2)))
+        value = decompose_descending(forms).delta * _diagonal_sign((2, 2, 2))
+        assert (value, decompose_descending(hom).delta) == (field.of(res), field.of(delta))
+        failed = [(pivoted, could) for nrows, pivoted, could in steps if pivoted < nrows]
+        assert failed and all(pivoted < could for pivoted, could in failed), steps

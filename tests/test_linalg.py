@@ -380,9 +380,9 @@ def spy_on_pivot(monkeypatch):
     """The modulus of each call to the free-pivot kernel, None over Z."""
     calls = []
 
-    def spy(rows, p=None, m=None):
+    def spy(rows, p=None, m=None, stop=False):
         calls.append(p)
-        return _pivot(rows, p, m)
+        return _pivot(rows, p, m, stop)
 
     monkeypatch.setattr(linalg, "_pivot", spy)
     return calls
@@ -882,3 +882,89 @@ def test_selector_takes_the_given_columns_when_their_minor_is_nonzero(field, mon
                 fallen += wide
                 ignored += not wide
     assert min(taken, fallen, ignored, raised) >= 10, (taken, fallen, ignored, raised)
+
+
+# ---------------------------------------------------------------------------
+# the rank on given rows
+
+
+def spy_on_stops(monkeypatch):
+    """For each call to the kernel, whether it stops at the first cancelled
+    row and, if so, whether every row pivoted: None for a call that runs
+    to the end."""
+    calls = []
+
+    def spy(rows, p=None, m=None, stop=False):
+        out = _pivot(rows, p, m, stop)
+        calls.append(len(out[0]) == len(rows) if stop else None)
+        return out
+
+    monkeypatch.setattr(linalg, "_pivot", spy)
+    return calls
+
+
+@pytest.mark.parametrize("field", [F3, F101, FP, QQ], ids=["F3", "F101", "FP", "Q"])
+def test_rank_on_given_rows_is_the_rank(field, monkeypatch):
+    """``rank(rows)`` is ``rank()`` whatever rows are given.  As many rows
+    as columns, and fewer than all, are ranked alone first, by one kernel
+    call that stops at the first cancelled row; when every row pivots that
+    is the answer, and otherwise the whole matrix is ranked as without
+    them.  A row count of another length, repeated rows and a square
+    matrix change nothing: the whole matrix is ranked at once."""
+    rng = random.Random(f"given-rows-{field.name}")
+    calls = spy_on_stops(monkeypatch)
+    proved = singular = ignored = 0
+    for _ in range(150):
+        ncols = rng.randrange(1, 6)
+        nrows = ncols + rng.randrange(0, 4)
+        m = Matrix(field, random_matrix(field, rng, nrows, ncols), ncols)
+        rank = m.rank()
+        assert rank == left_to_right_rank(m)
+        for size in (ncols - 1, ncols, ncols + 1):
+            if not 0 <= size <= nrows:
+                continue
+            if rng.random() < 0.8:
+                rows = rng.sample(range(nrows), size)
+            else:  # repeats, so that the chosen rows of a square matrix are not its own
+                rows = rng.choices(range(nrows), k=size)
+            calls.clear()
+            assert m.rank(rows) == rank
+            if size == ncols < nrows:
+                if calls[0]:
+                    assert calls == [True] and rank == ncols
+                    proved += 1
+                else:
+                    # then the whole matrix, over Q mod _P and, if short, over Z
+                    assert calls[0] is False and calls[1:] in ([None], [None, None])
+                    singular += 1
+            else:
+                assert calls in ([None], [None, None])
+                ignored += 1
+    assert min(proved, singular, ignored) >= 20, (proved, singular, ignored)
+
+
+def test_rank_on_given_rows_over_q_where_p_divides_an_entry(monkeypatch):
+    """Chosen rows whose rank falls short mod _P send the whole matrix to
+    the kernel mod _P and, if that falls short too, over Z: never the
+    chosen rows alone.  A denominator divisible by _P in the chosen rows
+    skips them, and in the whole matrix sends it to Z at once; the rank is
+    the cofactor rank in every case."""
+    calls = spy_on_pivot(monkeypatch)
+    cases = [
+        # full over Q, the chosen rows short mod _P, the whole matrix full
+        ([[_P, 0], [0, 1], [1, 1]], (0, 1), 2, [_P, _P]),
+        # the whole matrix short mod _P as well: rows 0 and 2 agree there
+        ([[_P, 0], [0, 1], [2 * _P, 1]], (0, 1), 2, [_P, _P, None]),
+        ([[_P, 2 * _P], [1, 2], [3, 6]], (0, 1), 1, [_P, _P, None]),
+        # a denominator divisible by _P, in the chosen rows or elsewhere
+        ([[Fraction(1, _P), 0], [0, 1], [1, 1]], (0, 1), 2, [None]),
+        ([[Fraction(1, _P), 0], [0, 1], [1, 1]], (1, 2), 2, [_P]),
+        ([[Fraction(1, _P), Fraction(2, _P)], [1, 2], [3, 6]], (1, 2), 1, [_P, None]),
+    ]
+    for rows, chosen, rank, kernel_calls in cases:
+        over_q = Mq(rows)
+        entries = [[over_q[i, j] for j in range(over_q.ncols)] for i in range(over_q.nrows)]
+        calls.clear()
+        assert over_q.rank(chosen) == rank
+        assert calls == kernel_calls
+        assert over_q.rank() == rank == cofactor_rank(entries, over_q.nrows, over_q.ncols, QQ)
