@@ -909,8 +909,8 @@ def test_rank_on_given_rows_is_the_rank(field, monkeypatch):
     as columns, and fewer than all, are ranked alone first, by one kernel
     call that stops at the first cancelled row; when every row pivots that
     is the answer, and otherwise the whole matrix is ranked as without
-    them.  A row count of another length, repeated rows and a square
-    matrix change nothing: the whole matrix is ranked at once."""
+    them, as after repeated rows.  A row count of another length and a
+    square matrix change nothing: the whole matrix is ranked at once."""
     rng = random.Random(f"given-rows-{field.name}")
     calls = spy_on_stops(monkeypatch)
     proved = singular = ignored = 0
