@@ -3,7 +3,10 @@
 Input grammar for polynomials: terms joined by `+`/`-`; a term is an
 optional coefficient (`int` or `int/int`), optionally followed by `*` and
 a monomial; a monomial is `x<k>` factors (each with an optional `^<e>`)
-joined by `*`.
+joined by `*`.  A monomial list (`--monomials`) is comma-separated, and
+each entry must read as a single term with coefficient one; `1` and plain
+products of factors are read directly, without the polynomial parser, and
+the grammar is the same either way.
 
 `--field` (`q` or `fp:<p>`), `--system` (a system file, see
 `load_system`) and `--monomials` (a comma-separated monomial list) mean
@@ -90,11 +93,13 @@ def parse_poly(text: str, nvars: int, field) -> MultiPoly:
             if kind == "num":
                 top, _, bottom = value.partition("/")
                 num = _int(top, pos)
-                den = _int(bottom, pos + len(top) + 1) if bottom else 1
-                if not den:
-                    raise ParseError(f"zero denominator in {value}", pos)
+                if bottom:
+                    den = _int(bottom, pos + len(top) + 1)
+                    if not den:
+                        raise ParseError(f"zero denominator in {value}", pos)
+                    num = Fraction(num, den)
                 try:
-                    coeff = coeff * field.of(Fraction(num, den))
+                    coeff = coeff * field.of(num)
                 except InputError as exc:  # no value in F_p
                     raise ParseError(str(exc), pos) from None
             elif kind == "var":
@@ -122,10 +127,38 @@ def parse_poly(text: str, nvars: int, field) -> MultiPoly:
     return MultiPoly(field, nvars, terms)
 
 
+# `1`, or x<k> and x<k>^<e> factors joined by `*`, spaced as the
+# tokenizer allows
+_FACTOR = r"x(\d+)(?:\s*\^\s*(\d+))?"
+_PLAIN = re.compile(rf"1|{_FACTOR}(?:\s*\*\s*{_FACTOR})*")
+_FACTORS = re.compile(_FACTOR)
+
+
+def _plain_monomial(text: str, nvars: int):
+    """The exponents of ``text`` if it is a plain monomial in x1..x<nvars>,
+    as ``parse_poly`` reads it; otherwise None."""
+    if not _PLAIN.fullmatch(text):
+        return None
+    mono = [0] * nvars
+    try:
+        for k, e in _FACTORS.findall(text):
+            k = int(k)
+            if not 1 <= k <= nvars:
+                return None
+            mono[k - 1] += int(e) if e else 1
+    except ValueError:  # digits past the int-string limit
+        return None
+    return tuple(mono)
+
+
 def parse_monomial_list(text: str, nvars: int, field) -> MonomialSet:
     """Comma-separated monomials (`1` for the constant) -> MonomialSet.
 
-    Error positions count from the start of ``text``.
+    An entry is any polynomial that ``parse_poly`` reads as one term with
+    coefficient one.  Plain monomials, `1` or products of `x<k>` and
+    `x<k>^<e>` factors, are read directly; every other entry, and every
+    error, goes through ``parse_poly``.  Error positions count from the
+    start of ``text``.
     """
     monos = []
     start = 0
@@ -135,14 +168,17 @@ def parse_monomial_list(text: str, nvars: int, field) -> MonomialSet:
         start += len(entry) + 1
         if not part:
             raise ParseError("empty entry in monomial list", at)
-        try:
-            p = parse_poly(part, nvars, field)
-        except ParseError as exc:
-            raise ParseError(exc.message, at + exc.position) from None
-        supp = p.support()
-        if len(supp) != 1 or p.terms[supp[0]] != field.one:
-            raise ParseError(f"{part!r} is not a monomial", at)
-        monos.append(supp[0])
+        mono = _plain_monomial(part, nvars)
+        if mono is None:
+            try:
+                p = parse_poly(part, nvars, field)
+            except ParseError as exc:
+                raise ParseError(exc.message, at + exc.position) from None
+            supp = p.support()
+            if len(supp) != 1 or p.terms[supp[0]] != field.one:
+                raise ParseError(f"{part!r} is not a monomial", at)
+            mono = supp[0]
+        monos.append(mono)
     return MonomialSet(monos)
 
 

@@ -109,7 +109,7 @@ class FpElement:
             return NotImplemented
         if v % self.p == 0:
             raise ZeroDivisionError("division by zero in F_%d" % self.p)
-        return FpElement(self.val * pow(v, self.p - 2, self.p), self.p)
+        return FpElement(self.val * pow(v, -1, self.p), self.p)
 
     def __rtruediv__(self, other):
         v = self._coerce(other)
@@ -117,16 +117,14 @@ class FpElement:
             return NotImplemented
         if self.val == 0:
             raise ZeroDivisionError("division by zero in F_%d" % self.p)
-        return FpElement(v * pow(self.val, self.p - 2, self.p), self.p)
+        return FpElement(v * pow(self.val, -1, self.p), self.p)
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
             return NotImplemented
-        if e >= 0:
-            return FpElement(pow(self.val, e, self.p), self.p)
-        if self.val == 0:
+        if e < 0 and self.val == 0:
             raise ZeroDivisionError("negative power of zero in F_%d" % self.p)
-        return FpElement(pow(pow(self.val, self.p - 2, self.p), -e, self.p), self.p)
+        return FpElement(pow(self.val, e, self.p), self.p)
 
     def __neg__(self):
         return FpElement(-self.val, self.p)

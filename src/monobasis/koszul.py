@@ -18,16 +18,20 @@ image on the target elements, as a dict of its non-zero entries.  So the
 first map is Macaulay's matrix of the P_i on the degree-t monomials
 outside S.
 
-The lists hold tuple monomials, but ``koszul_map`` multiplies on int
-codes: for one call it picks a radix b above every exponent of a source
-monomial times a term of some P_i, and codes x^a as
-sum_k a_k b^k + (deg a) b^v.  Then x^a x^c has the code code(a) + code(c),
-so each entry costs one int addition and one dict read instead of
-building and hashing a product tuple.  The top digit, the total degree,
-keeps a target monomial with an exponent of b or more from sharing a code
-with a product, so the matrix is the same entry for entry.  The negated
-coefficients that odd wedge positions take are made once per term and
-shared by every row.
+The lists hold tuple monomials, but the maps multiply on int codes: in a
+radix b above every exponent of a source monomial times a term of some
+P_i, x^a has the code sum_k a_k b^k + (deg a) b^v.  Then x^a x^c has the
+code code(a) + code(c), so each entry costs one int addition and one dict
+read instead of building and hashing a product tuple.  The top digit, the
+total degree, keeps a target monomial with an exponent of b or more from
+sharing a code with a product, so the matrix is the same entry for entry.
+``build_complex`` takes one radix for the whole of C_t, b = t + 1, since
+every product in C_t has degree at most t; so it codes each term once,
+for the map it is the source of and the map it is the target of, and
+makes each term of each P_i a (code, coefficient, negated coefficient)
+triple once, negating only the P_i that some wedge holds at an odd
+position.  ``koszul_map``, which takes any source and target, picks its
+own radix for each call.
 """
 from __future__ import annotations
 
@@ -131,16 +135,46 @@ def koszul_map(sys: PolySystem, source, target) -> Matrix:
     # Carrying y's digits to m's and q lowers deg y by a multiple of b - 1,
     # so deg y >= deg m + q; hence q = 0 and y = m.
     b = 1 + max(map(max, map(operator.itemgetter(0), source)), default=0) + max(sys.degrees)
-    v = sys.nvars
-    weights = [b**k + b**v for k in range(v)]
+    weights = _weights(b, sys.nvars)
+    terms = [_coded_terms(f, weights, True) for f in sys.polys]
+    rows = _rows(source, _codes(source, weights), _index(target, _codes(target, weights)), terms)
+    return Matrix(sys.field, rows, ncols=len(target))
+
+
+def _weights(b: int, v: int) -> list:
+    """The code of x^m in radix b is the sum of m_k * weights[k]."""
+    return [b**k + b**v for k in range(v)]
+
+
+def _codes(term, weights) -> list:
+    """The codes of the monomials of a term's (monomial, wedge) pairs."""
     mul = operator.mul
-    terms = [[(sum(map(mul, m, weights)), c, -c) for m, c in f.terms.items()] for f in sys.polys]
-    index = {}  # wedge -> monomial code -> column
-    for j, (m, wedge) in enumerate(target):
-        index.setdefault(wedge, {})[sum(map(mul, m, weights))] = j
+    return [sum(map(mul, m, weights)) for m, _ in term]
+
+
+def _coded_terms(f, weights, negate: bool) -> list:
+    """f's terms as (code, coefficient, negated coefficient) triples;
+    without ``negate``, for an f that no wedge holds at an odd position,
+    the third item is the coefficient itself."""
+    mul = operator.mul
+    return [(sum(map(mul, m, weights)), c, -c if negate else c) for m, c in f.terms.items()]
+
+
+def _index(target, codes) -> dict:
+    """wedge -> monomial code -> column, for the target's elements and codes."""
+    index = {}
+    for j, ((_, wedge), a) in enumerate(zip(target, codes)):
+        index.setdefault(wedge, {})[a] = j
+    return index
+
+
+def _rows(source, codes, index, terms) -> list:
+    """The rows of a map: the image of each source element, whose
+    monomial has the code in ``codes``, on the target that ``index`` lists;
+    ``terms[i - 1]`` holds f_i's (code, coefficient, negated coefficient)
+    triples, all codes in one radix."""
     rows = []
-    for m, wedge in source:
-        a = sum(map(mul, m, weights))
+    for (_, wedge), a in zip(source, codes):
         row = {}
         for j, i in enumerate(wedge):
             rest = wedge[:j] + wedge[j + 1 :]
@@ -155,7 +189,7 @@ def koszul_map(sys: PolySystem, source, target) -> Matrix:
                 elif rest:
                     raise AssertionError("differential target missing")
         rows.append(row)
-    return Matrix(sys.field, rows, ncols=len(target))
+    return rows
 
 
 def build_complex(sys: PolySystem, t: int, S) -> GradedComplex:
@@ -173,5 +207,19 @@ def build_complex(sys: PolySystem, t: int, S) -> GradedComplex:
             raise InputError(f"{m} is not a degree-{t} monomial in {v} variables")
 
     bases = tuple(tuple(koszul_term(sys, t, k, S)) for k in range(sys.n + 1))
-    diffs = tuple(koszul_map(sys, bases[k], bases[k - 1]) for k in range(1, sys.n + 1))
+    # one radix for every map: each product in C_t has degree <= t, so its
+    # exponents are below t + 1, and koszul_map's argument, on the degree
+    # digit, still covers the targets
+    weights = _weights(t + 1, v)
+    codes = [_codes(basis, weights) for basis in bases]
+    # wedges are increasing, so f_1 heads every wedge that holds it
+    terms = [_coded_terms(f, weights, i > 0) for i, f in enumerate(sys.polys)]
+    diffs = tuple(
+        Matrix(
+            sys.field,
+            _rows(bases[k], codes[k], _index(bases[k - 1], codes[k - 1]), terms),
+            ncols=len(bases[k - 1]),
+        )
+        for k in range(1, sys.n + 1)
+    )
     return GradedComplex(sys.n, t, v, bases, diffs, sys.field, sys.degrees)

@@ -285,17 +285,22 @@ class Matrix:
     __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field, rows, ncols=None):
-        rows = list(rows)
         if ncols is None:
+            rows = list(rows)
             if not rows or isinstance(rows[0], dict):
                 raise ShapeError("matrix needs an explicit column count")
             ncols = len(rows[0])
-        if any(not isinstance(r, dict) and len(r) != ncols for r in rows):
-            raise ShapeError("row length disagrees with the column count")
+        stored = []
+        for r in rows:
+            if not isinstance(r, dict):
+                if len(r) != ncols:
+                    raise ShapeError("row length disagrees with the column count")
+                r = {j: e for j, e in enumerate(r) if e}
+            stored.append(r)
         self.field = field
-        self.nrows = len(rows)
+        self.nrows = len(stored)
         self.ncols = ncols
-        self.rows = [r if isinstance(r, dict) else {j: e for j, e in enumerate(r) if e} for r in rows]
+        self.rows = stored
 
     # -- basics -------------------------------------------------------
     def __getitem__(self, key):

@@ -76,6 +76,17 @@ class MultiPoly:
 
     # -- constructors -------------------------------------------------
     @classmethod
+    def _valid(cls, field, nvars: int, terms: dict) -> "MultiPoly":
+        """A polynomial on ``terms`` as given, unchecked: for terms that
+        are valid by construction, nvars-tuples of non-negative exponents
+        with non-zero coefficients."""
+        p = cls.__new__(cls)
+        p.field = field
+        p.nvars = nvars
+        p.terms = terms
+        return p
+
+    @classmethod
     def zero(cls, field, nvars: int) -> "MultiPoly":
         return cls(field, nvars, {})
 
@@ -170,7 +181,7 @@ class MultiPoly:
         return all(sum(m) == d for m in self.terms)
 
     def homogeneous_component(self, d: int) -> "MultiPoly":
-        return MultiPoly(
+        return MultiPoly._valid(
             self.field, self.nvars, {m: c for m, c in self.terms.items() if sum(m) == d}
         )
 
@@ -252,10 +263,8 @@ def homogenize(p: MultiPoly, declared_degree: int) -> MultiPoly:
         raise DegreeError(
             f"declared degree {declared_degree} below actual degree {p.degree}"
         )
-    out = {}
-    for m, c in p.terms.items():
-        out[(declared_degree - sum(m),) + m] = c
-    return MultiPoly(p.field, p.nvars + 1, out)
+    out = {(declared_degree - sum(m),) + m: c for m, c in p.terms.items()}
+    return MultiPoly._valid(p.field, p.nvars + 1, out)
 
 
 def dehomogenize(p: MultiPoly) -> MultiPoly:

@@ -10,8 +10,12 @@ stdout and exit code of ``basis-check --oracle``, ``resultant`` and
 ``subresultant`` for every question, and of every ``factor``, ``mulmat``
 and ``vandermonde-verify`` identity call, its arguments built by
 ``bench/run.py``'s ``identity_argv``; all run in-process through
-``cli.main``.  ``mulmat`` reaches ``Matrix.solve``.  A change that should
-move no answer must leave this text as it was:
+``cli.main``.  ``mulmat`` reaches ``Matrix.solve``.  Last it prints the
+stdout, stderr and exit code of ``basis-check`` on one (2,2) system over Q
+and over F_101 for each of a fixed list of ``--monomials`` spellings, some
+accepted and some rejected, so that the monomial-list grammar, values and
+error messages are compared too.  A change that should move no answer
+must leave this text as it was:
 
     python tests/answers.py base/src > base.txt
     python tests/answers.py src > head.txt
@@ -28,13 +32,40 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("q-dense", "fp-dense", "sparse-cli")
 IDENTITY_CALLS = ("factor", "mulmat", "vandermonde-verify")
+SYSTEM22 = "degrees: 2,2\nx1^2 - x2 - 1\nx2^2 + 3*x1*x2 - 2\n"
+# accepted, read directly or by the polynomial parser, then rejected; N
+# stands for a number one digit past the interpreter's int-string limit
+SPELLINGS = (
+    "1,x1,x2,x1*x2",
+    " 1 , x1 , x2 , x2 * x1 ",
+    "x1^0,x1 ^ 1,x2^001,x1*x2",
+    "x2*x2,x1,x2,1",
+    "1*x1,1,x2,x1*x2",
+    "2/2*x1,1,x2,x1*x2",
+    "x1 + x2 - x2,1,x2,x1*x2",
+    "1,x1,x1*x1,x1^3",
+    "1,x1,x2,x3",
+    "1,x1,x2,x1^",
+    "1,x1,x2,x1**x2",
+    "1,2*x1,x2,x1*x2",
+    "1,x1,,x2",
+    "x0,x1,x2,x1*x2",
+    "1,x1,x2,x1*x2,",
+    "1,x1,x2,x1^2/3",
+    "1,x1,x2,x1*x2 + 1",
+    "1,x1,x2,x1 x2",
+    "1,x1,x1,x2",
+    "1,x1,x2,xN",
+    "1,x1,x2,x1^N",
+)
 
 
-def answer(cli, argv) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def answer(cli, argv, stderr=False) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return f"{out.getvalue()}exit={code}\n"
+    shown = f"{out.getvalue()}stderr={err.getvalue()!r}\n" if stderr else out.getvalue()
+    return f"{shown}exit={code}\n"
 
 
 def main(argv=None) -> int:
@@ -72,6 +103,16 @@ def main(argv=None) -> int:
                     field = f"fp:{ident.p}" if ident.p else "q"
                     print(f"# {workload} {name} {field} identity {ident.kind}")
                     sys.stdout.write(answer(cli, identity_argv(ident)))
+        path = os.path.join(tmp, "system22.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(SYSTEM22)
+        long = "9" * (sys.get_int_max_str_digits() + 1)
+        for field in ("q", "fp:101"):
+            for monomials in SPELLINGS:
+                print(f"# spellings {field} {monomials!r}")
+                argv = ["basis-check", "--field", field, "--system", path,
+                        "--monomials", monomials.replace("N", long)]
+                sys.stdout.write(answer(cli, argv, stderr=True))
     return 0
 
 

@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 import monobasis
-from monobasis import GF, QQ, MultiPoly, ParseError
+from monobasis import GF, QQ, MonomialSet, MultiPoly, ParseError
+from monobasis import cli
 from monobasis.cli import _build_parser, load_system, main, parse_monomial_list, parse_poly
 
 F5 = GF(5)
@@ -63,6 +64,59 @@ def test_monomial_list_error_positions_count_from_the_whole_list():
         with pytest.raises(ParseError) as exc:
             parse_monomial_list(text, 2, QQ)
         assert exc.value.position == position, text
+
+
+def reference_monomial_list(text, nvars, field):
+    """The monomial-list contract, as first written: every entry goes
+    through ``parse_poly`` and must come out as one term with coefficient
+    one."""
+    monos = []
+    start = 0
+    for entry in text.split(","):
+        part = entry.strip()
+        at = start + len(entry) - len(entry.lstrip())
+        start += len(entry) + 1
+        if not part:
+            raise ParseError("empty entry in monomial list", at)
+        try:
+            p = parse_poly(part, nvars, field)
+        except ParseError as exc:
+            raise ParseError(exc.message, at + exc.position) from None
+        supp = p.support()
+        if len(supp) != 1 or p.terms[supp[0]] != field.one:
+            raise ParseError(f"{part!r} is not a monomial", at)
+        monos.append(supp[0])
+    return MonomialSet(monos)
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["Q", "F101"])
+def test_monomial_lists_keep_the_polynomial_parsers_contract(field, nvars, monkeypatch):
+    """Plain monomials are read without ``parse_poly``; every spelling,
+    read directly or not, accepted or not, gives the reference's exponents
+    or its error message and list-wide position."""
+    calls = []
+    monkeypatch.setattr(cli, "parse_poly", lambda *args: calls.append(args) or parse_poly(*args))
+    plain = ["x1*x1", "x2 * x1", " x1 ^ 2", "x1^0", "x1^007", "1"]
+    parsed = ["1*x1", "2/2*x1", "x1 + x2 - x2"]
+    for entry in plain + parsed:
+        for text in (entry, f"x2^3,{entry} "):
+            got = parse_monomial_list(text, nvars, field)
+            assert got == reference_monomial_list(text, nvars, field), text
+    assert [args[0] for args in calls] == [entry for entry in parsed for _ in range(2)]
+    rejected = [f"x{nvars + 1}", "x1^", "x1**x2", "2*x1", "x1,,x2", "x0", "2", "0"]
+    limit = sys.get_int_max_str_digits()
+    if limit:  # a variable index and an exponent that int() refuses
+        rejected += [f"x{'1' * (limit + 1)}", f"x1^{'1' * (limit + 1)}"]
+    for entry in rejected:
+        for text in (entry, f"1, x2 ,{entry}"):
+            with pytest.raises(ParseError) as want:
+                reference_monomial_list(text, nvars, field)
+            with pytest.raises(ParseError) as exc:
+                parse_monomial_list(text, nvars, field)
+            assert (exc.value.message, exc.value.position) == (
+                want.value.message, want.value.position
+            ), text
 
 
 def test_load_system_names_the_file_and_line_of_a_bad_polynomial(tmp_path, capsys):

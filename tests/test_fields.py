@@ -38,6 +38,30 @@ def test_fp_pow_matches_repeated_multiplication():
         assert x**e == acc
 
 
+@pytest.mark.parametrize("p", [3, 101, 2**62 - 57])
+def test_fp_inverses_are_fermats(p):
+    """Quotients, reciprocals and negative powers equal the values of
+    Fermat's inverse pow(v, p - 2, p), and division by zero keeps its
+    messages."""
+    F = GF(p)
+    rng = random.Random(p)
+    for v in {1, p - 1} | {rng.randrange(1, p) for _ in range(20)}:
+        a, b = F.of(v), F.of(rng.randrange(p))
+        inv = pow(v, p - 2, p)
+        assert (b / a).val == (b / v).val == b.val * inv % p
+        assert (1 / a).val == (F.one / a).val == inv
+        assert (7 / a).val == 7 * inv % p
+        for e in (1, 2, 5):
+            assert (a**-e).val == pow(inv, e, p)
+    for zero in (F.zero, 0, p):
+        with pytest.raises(ZeroDivisionError, match=f"^division by zero in F_{p}$"):
+            F.one / zero
+    with pytest.raises(ZeroDivisionError, match=f"^division by zero in F_{p}$"):
+        1 / F.zero
+    with pytest.raises(ZeroDivisionError, match=f"^negative power of zero in F_{p}$"):
+        F.zero**-1
+
+
 def test_fp_mixed_primes_rejected():
     with pytest.raises(InputError):
         GF(7).of(1) + GF(11).of(1)

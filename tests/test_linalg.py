@@ -531,6 +531,13 @@ def test_list_rows_and_dict_rows_make_the_same_matrix(field):
         assert m == Matrix(field, sparse, ncols=ncols)
         assert m.rows == sparse and dense(m) == rows
         assert m.is_zero() == (not any(map(any, rows)))
+        # dict rows are stored as given, not copied
+        assert all(a is b for a, b in zip(Matrix(field, sparse, ncols=ncols).rows, sparse))
+    row = {1: field.one}
+    m = Matrix(field, [row, [field.zero, field.one, field.zero]], ncols=3)
+    assert m.rows[0] is row and m.rows[1] == {1: field.one}
+    with pytest.raises(ShapeError):
+        Matrix(field, [row, [field.one] * 2], ncols=3)
     m = Matrix(field, [{1: field.one}], ncols=3)
     assert m[0, 0] == field.zero and m[0, 1] == field.one and m[0, -2] == field.one
     for key in ((0, 3), (0, -4), (1, 0)):
