@@ -48,11 +48,7 @@ from .polynomials import (
     mono_key,
     monomials_of_degree,
 )
-from .resultants import (
-    classical_subresultants,
-    resultant_macaulay,
-    sylvester_resultant,
-)
+from .resultants import classical_subresultants, resultant_macaulay
 from .rootsystems import (
     linear_transform,
     power_system,

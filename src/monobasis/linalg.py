@@ -29,9 +29,12 @@ first, and on the whole matrix only when that minor vanishes.  The rank
 mirrors it: given a square choice of rows, as the rank oracle gives each
 tall Macaulay matrix, it ranks those rows first, and the whole matrix
 only when they fall short.  A full rank on some rows is the full column
-rank of the matrix, so the choice only saves work.  On these square
-attempts the kernel stops at the first row that cancels to nothing,
-which alone proves the rows dependent.
+rank of the matrix, so the choice only saves work.  Every selection,
+every determinant and every square rank attempt stops the kernel at the
+first row that cancels to nothing, which alone proves the rows
+dependent: a singular stage costs only the pivots up to its first
+dependent row, and NotFullRank counts no rows.  A whole-matrix rank and
+``solve`` run to the end, since on a tall matrix rows cancel anyway.
 
 A rank over Q is first taken mod the prime P = 2**30 - 35, entry by entry
 (n/d to n * d^-1 mod P).  That scales each row of the row-cleared integer
@@ -258,20 +261,19 @@ def _exact(field, rows, keep=None) -> tuple:
     return (*_integral(rows, keep), None)
 
 
-def _minor(field, rows, keep=None, stop=False) -> tuple:
+def _minor(field, rows, keep=None) -> MinorSelection | None:
     """The free-pivot kernel on a copy of dict rows of field elements, of
-    their columns in ``keep`` if it is given: its pivot columns, sorted,
-    and the minor on every row and those columns, or None in its place
-    when the rows are dependent.  With ``stop`` the kernel returns at the
-    first row that cancels, and the columns are those pivoted by then."""
+    their columns in ``keep`` if it is given, stopped at the first row that
+    cancels: the selection of its pivot columns, sorted, and the minor on
+    every row and those columns, or None when the rows are dependent."""
     work, scale, p = _exact(field, rows, keep)
-    order, cols, factor = _pivot(work, p, stop=stop)
-    chosen = tuple(sorted(cols))
+    order, cols, factor = _pivot(work, p, stop=True)
     if len(order) < len(rows):
-        return chosen, None
+        return None
     # the kernel's minor has its rows and columns in step order
     sign = _permutation_sign(order) * _permutation_sign(cols)
-    return chosen, FpElement(sign * factor % p, p) if p else Fraction(sign * factor, scale)
+    value = FpElement(sign * factor % p, p) if p else Fraction(sign * factor, scale)
+    return MinorSelection(tuple(sorted(cols)), value)
 
 
 class Matrix:
@@ -344,8 +346,8 @@ class Matrix:
     def det(self):
         if self.nrows != self.ncols:
             raise ShapeError("determinant of a non-square matrix")
-        value = _minor(self.field, self.rows, stop=True)[1]
-        return self.field.zero if value is None else value
+        sel = _minor(self.field, self.rows)
+        return self.field.zero if sel is None else sel.minor_value
 
     def rank(self, rows=None) -> int:
         """The rank, by the free-pivot kernel.  Over Q it is taken mod P
@@ -436,15 +438,15 @@ def select_nonzero_maximal_minor(m: Matrix, cols=None) -> MinorSelection:
     length, it is every row and the pivot columns of the free-pivot kernel
     on the whole matrix, a choice that is deterministic but not
     lexicographic: it follows the sparsity of the matrix rather than the
-    order of its columns.  Raises NotFullRank when the rows are dependent.
+    order of its columns.  Each run stops at the first row that cancels;
+    on rows that are independent none does.  Raises NotFullRank, which
+    counts no rows, when the rows are dependent.
     """
     if cols is not None and len(cols) == m.nrows < m.ncols:
-        chosen, value = _minor(m.field, m.rows, set(cols), stop=True)
-        if value is not None:
-            return MinorSelection(chosen, value)
-    chosen, value = _minor(m.field, m.rows)
-    if value is None:
-        raise NotFullRank(
-            f"no non-zero maximal minor ({len(chosen)} of {m.nrows} rows independent)"
-        )
-    return MinorSelection(chosen, value)
+        sel = _minor(m.field, m.rows, set(cols))
+        if sel is not None:
+            return sel
+    sel = _minor(m.field, m.rows)
+    if sel is None:
+        raise NotFullRank("no non-zero maximal minor: the rows are dependent")
+    return sel

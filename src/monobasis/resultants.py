@@ -8,8 +8,7 @@ complex", 1993; Gelfand-Kapranov-Zelevinsky 1994, ch. 3 and app. A).  It
 is ``detcomplex.koszul_det`` at (rho + 1, S = {}), the same signed
 descending determinant that gives every subresultant, normalized so that
 Res(x_1^{d_1}, ..., x_n^{d_n}) = 1.  The classical subresultants R_k of
-two binary forms are such subresultants too; only the Sylvester
-resultant, kept as the tests' reference, builds a matrix of its own.
+two binary forms are such subresultants too.
 """
 from __future__ import annotations
 
@@ -26,7 +25,6 @@ __all__ = [
     "classical_subresultants",
     "macaulay_matrix",
     "resultant_macaulay",
-    "sylvester_resultant",
 ]
 
 
@@ -83,25 +81,6 @@ def _check_binary(f: MultiPoly, d: int) -> None:
         raise ShapeError("expected a binary form")
     if f.terms and not f.is_homogeneous_of(d):
         raise InputError("binary input must be homogeneous of the declared degree")
-
-
-def sylvester_resultant(f: MultiPoly, g: MultiPoly, d1: int, d2: int):
-    """Determinant of the (d1+d2) x (d1+d2) Sylvester matrix of two binary
-    forms: the tests' independent reference for ``resultant_macaulay``."""
-    if d1 < 1 or d2 < 1:
-        raise InputError("declared degrees must be at least 1")
-    _check_binary(f, d1)
-    _check_binary(g, d2)
-    # rows x1^s f (s = d2-1..0), then x1^s g (s = d1-1..0); columns by the
-    # exponent of x1, from d1+d2-1 down to 0
-    zero = f.field.zero
-    exps = range(d1 + d2 - 1, -1, -1)
-    rows = [
-        [p.coefficient((e - s, d - e + s)) if 0 <= e - s <= d else zero for e in exps]
-        for p, d, copies in ((f, d1, d2), (g, d2, d1))
-        for s in range(copies - 1, -1, -1)
-    ]
-    return Matrix(f.field, rows, ncols=d1 + d2).det()
 
 
 def classical_subresultants(f: MultiPoly, g: MultiPoly, d1: int, d2: int) -> dict:

@@ -11,15 +11,20 @@ the sign of the row permutation.  Over Z the update is Bareiss's, by lazy
 levels, as in the library's free-pivot kernel.  It shares no elimination
 code with the library, only the conversion of the rows to residues or
 integers and the sign of a permutation.
+
+``sylvester_resultant`` is the reference for the resultant of two binary
+forms: the determinant of their Sylvester matrix, which no Koszul complex
+builds.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from monobasis import NotFullRank
+from monobasis import InputError, Matrix, MultiPoly, NotFullRank
 from monobasis.fields import FpElement, PrimeField
 from monobasis.linalg import MinorSelection, _integral, _permutation_sign
+from monobasis.resultants import _check_binary
 
 
 @dataclass(frozen=True)
@@ -129,3 +134,22 @@ def lexicographic_minor(m) -> MinorSelection:
             f"no non-zero maximal minor ({len(ech.pivots)} of {m.nrows} rows independent)"
         )
     return MinorSelection(tuple(ech.pivots), ech.minor())
+
+
+def sylvester_resultant(f: MultiPoly, g: MultiPoly, d1: int, d2: int):
+    """Determinant of the (d1+d2) x (d1+d2) Sylvester matrix of two binary
+    forms: the tests' independent reference for ``resultant_macaulay``."""
+    if d1 < 1 or d2 < 1:
+        raise InputError("declared degrees must be at least 1")
+    _check_binary(f, d1)
+    _check_binary(g, d2)
+    # rows x1^s f (s = d2-1..0), then x1^s g (s = d1-1..0); columns by the
+    # exponent of x1, from d1+d2-1 down to 0
+    zero = f.field.zero
+    exps = range(d1 + d2 - 1, -1, -1)
+    rows = [
+        [p.coefficient((e - s, d - e + s)) if 0 <= e - s <= d else zero for e in exps]
+        for p, d, copies in ((f, d1, d2), (g, d2, d1))
+        for s in range(copies - 1, -1, -1)
+    ]
+    return Matrix(f.field, rows, ncols=d1 + d2).det()

@@ -32,7 +32,6 @@ from monobasis import (
     power_system,
     rank_oracle,
     resultant_macaulay,
-    sylvester_resultant,
     transform_roots,
     upsilon_bivariate,
     vandermonde_verify,
@@ -44,6 +43,8 @@ from monobasis.subresultants import (
     required_cardinality,
     subresultant_delta,
 )
+
+from lexicographic import sylvester_resultant
 
 F101 = GF(101)
 F13 = GF(13)

@@ -24,6 +24,7 @@ from monobasis import (
 )
 from monobasis import linalg
 from monobasis.cli import parse_poly
+from monobasis.detcomplex import koszul_det
 from monobasis.hilbert import DegreeProfile, hilbert_H
 from monobasis.resultants import _diagonal_sign
 from monobasis.subresultants import required_cardinality
@@ -384,10 +385,10 @@ def spy_on_given_columns(monkeypatch):
     """Whether each minor on given columns was non-zero, in call order."""
     taken, minor = [], linalg._minor
 
-    def spy(field, rows, keep=None, stop=False):
-        out = minor(field, rows, keep, stop)
+    def spy(field, rows, keep=None):
+        out = minor(field, rows, keep)
         if keep is not None:
-            taken.append(out[1] is not None)
+            taken.append(out is not None)
         return out
 
     monkeypatch.setattr(linalg, "_minor", spy)
@@ -491,3 +492,36 @@ def test_a_vanishing_macaulay_minor_stops_at_its_first_cancelled_row(monkeypatch
         assert (value, decompose_descending(hom).delta) == (field.of(res), field.of(delta))
         failed = [(pivoted, could) for nrows, pivoted, could in steps if pivoted < nrows]
         assert failed and all(pivoted < could for pivoted, could in failed), steps
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=["Q", "F101"])
+def test_a_non_basis_stops_its_last_stage_at_its_first_cancelled_row(field, monkeypatch):
+    """M is the 15 monomials of degree <= 2 and one of degree 4, for a dense
+    (2,2,2,2) system, whose quotient holds only 1 + 4 + 6 dimensions of
+    degree <= 2: M is no basis and Delta(M) = 0.  Both decompositions fail
+    at stage 1, and ``koszul_det`` is 0.  The descending decomposition's
+    last kernel run, on that square stage, stops before its last row and
+    before a run that does not stop would."""
+    runs = []
+
+    def spy(rows, p=None, m=None, stop=False):
+        full = pivot([dict(r) for r in rows], p, m)
+        out = pivot(rows, p, m, stop)
+        runs.append((stop, len(rows), len(out[0]), len(full[0])))
+        return out
+
+    pivot = linalg._pivot
+    monkeypatch.setattr(linalg, "_pivot", spy)
+    sys_ = seeded_system(1, (2, 2, 2, 2), field, range(-5, 6))
+    low = [m for e in range(3) for m in monomials_of_degree(4, e)]
+    M = MonomialSet(low + monomials_of_degree(4, 4)[:1])
+    hom = sys_.homogenized()
+    c = build_complex(hom, M.delta, M.homogenized_at(M.delta))
+    for decompose in (decompose_ascending, decompose_descending):
+        runs.clear()
+        with pytest.raises(NotExact, match="^stage 1:"):
+            decompose(c)
+        assert all(stop for stop, _, _, _ in runs)
+    stop, nrows, pivoted, full = runs[-1]
+    assert nrows == c.dims()[0] and pivoted + 1 < nrows and pivoted < full
+    assert koszul_det(hom, M.delta, M.homogenized_at(M.delta)) == field.zero

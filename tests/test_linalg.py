@@ -10,6 +10,7 @@ from monobasis import (
     QQ,
     DegreeProfile,
     Matrix,
+    MinorSelection,
     NotFullRank,
     ShapeError,
     m0_set,
@@ -19,7 +20,7 @@ from monobasis import (
 from monobasis import linalg
 from monobasis.fields import is_prime
 from monobasis.koszul import koszul_term
-from monobasis.linalg import _P, _integral, _pivot
+from monobasis.linalg import _P, _integral, _permutation_sign, _pivot
 from monobasis.resultants import macaulay_matrix
 
 from conftest import identity_matrix, random_system
@@ -773,6 +774,21 @@ def kernel_steps(m):
     return _pivot([{j: e.val for j, e in r.items()} for r in m.rows], m.field.p)[:2]
 
 
+def unstopped_selection(m):
+    """The selection of one kernel run on a copy of m that does not stop:
+    its pivot columns, sorted, and the minor on them, signed by the row
+    and the column permutation of its steps; None unless every row pivots."""
+    if m.field is QQ:
+        (work, scale), p = _integral(m.rows), None
+    else:
+        work, scale, p = [{j: e.val for j, e in r.items()} for r in m.rows], 1, m.field.p
+    order, cols, minor = _pivot(work, p)
+    if len(order) < m.nrows:
+        return None
+    sign = _permutation_sign(order) * _permutation_sign(cols)
+    return MinorSelection(tuple(sorted(cols)), m.field.of(sign * minor) / m.field.of(scale))
+
+
 def lower_level_pivots(m, order, cols):
     """Replays the kernel's steps by Gaussian elimination on m written out
     in full, and counts the pivot rows that did not hold the column of the
@@ -825,6 +841,7 @@ def test_free_pivot_minor_is_the_minor_on_its_columns(field):
             continue
         assert kind != "dependent"
         sel = select_nonzero_maximal_minor(m)
+        assert sel == unstopped_selection(m)
         assert len(sel.col_indices) == len(want.col_indices) == nrows
         assert list(sel.col_indices) == sorted(set(sel.col_indices))
         sub = m.submatrix(range(nrows), sel.col_indices)
@@ -861,6 +878,7 @@ def test_selector_takes_the_given_columns_when_their_minor_is_nonzero(field, mon
             free = select_nonzero_maximal_minor(m)
         except NotFullRank:
             free = None
+        assert free == unstopped_selection(m)
         for size in (nrows - 1, nrows, nrows + 1):
             if not 0 <= size <= ncols:
                 continue
@@ -889,6 +907,86 @@ def test_selector_takes_the_given_columns_when_their_minor_is_nonzero(field, mon
                 fallen += wide
                 ignored += not wide
     assert min(taken, fallen, ignored, raised) >= 10, (taken, fallen, ignored, raised)
+
+
+# ---------------------------------------------------------------------------
+# every minor run stops at its first cancelled row
+
+
+def spy_on_runs(monkeypatch):
+    """For each call to the kernel: whether it stops at the first cancelled
+    row, how many rows it pivoted, and how many a run on a copy of the same
+    rows that does not stop pivots."""
+    runs = []
+
+    def spy(rows, p=None, m=None, stop=False):
+        full = _pivot([dict(r) for r in rows], p, m)
+        out = _pivot(rows, p, m, stop)
+        runs.append((stop, len(out[0]), len(full[0])))
+        return out
+
+    monkeypatch.setattr(linalg, "_pivot", spy)
+    return runs
+
+
+def early_dependent_rows(field, rng, nrows, ncols):
+    """Rows of three to six entries, and two rows on the same two columns,
+    the second a multiple of the first: the kernel pivots on one of the
+    two shortest rows first, and the other cancels at that first step."""
+    entry = nonzero_entry(field, rng)
+    rows = [{j: entry() for j in rng.sample(range(ncols), rng.randrange(3, 7))}
+            for _ in range(nrows - 2)]
+    short, c = {j: entry() for j in rng.sample(range(ncols), 2)}, entry()
+    rows += [short, {j: c * e for j, e in short.items()}]
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("field", [F3, F101, FP, QQ], ids=["F3", "F101", "FP", "Q"])
+def test_every_minor_run_stops_at_its_first_cancelled_row(field, monkeypatch):
+    """Every kernel run of a selection or a determinant stops at the first
+    row that cancels.  On rows where an early pivot row is a multiple of
+    another, the selection raises NotFullRank after a run that took one
+    step, where a run that does not stop pivots every independent row; on
+    a wide matrix given columns are tried first, by a run that stops too.
+    On independent rows no row cancels: the selection is that of a run
+    that does not stop."""
+    rng = random.Random(f"stop-{field.name}")
+    runs = spy_on_runs(monkeypatch)
+    reached = 0
+    for trial in range(30):
+        nrows = rng.randrange(6, 31)
+        ncols = nrows + (trial % 2) * rng.randrange(1, 9)
+        m = Matrix(field, early_dependent_rows(field, rng, nrows, ncols), ncols)
+        for cols in (None, rng.sample(range(ncols), nrows)):
+            runs.clear()
+            with pytest.raises(NotFullRank):
+                select_nonzero_maximal_minor(m, cols)
+            assert len(runs) == 1 + (cols is not None and nrows < ncols)
+            assert all(stop for stop, _, _ in runs)
+            _, pivoted, full = runs[-1]
+            assert pivoted == 1 < full < nrows
+            reached += full == nrows - 1
+        if nrows == ncols:
+            runs.clear()
+            assert m.det() == field.zero
+            assert len(runs) == 1 and runs[0][:2] == (True, 1)
+    assert reached >= 30, reached
+    for _ in range(10):
+        nrows = rng.randrange(8, 31)
+        ncols = nrows + rng.randrange(0, 6)
+        rows = spread_rows(rng, nrows, ncols)
+        if field is not QQ:
+            rows = [[field.of(e.numerator) for e in r] for r in rows]
+        m = Matrix(field, rows, ncols)
+        want = unstopped_selection(m)
+        runs.clear()
+        if want is None:
+            with pytest.raises(NotFullRank):
+                select_nonzero_maximal_minor(m)
+        else:
+            assert select_nonzero_maximal_minor(m) == want
+            assert runs == [(True, nrows, nrows)]
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,10 @@ from monobasis import (
     monomials_of_degree,
     multiplication_matrix,
     resultant_macaulay,
-    sylvester_resultant,
 )
 from monobasis.resultants import macaulay_matrix
+
+from lexicographic import sylvester_resultant
 
 F101 = GF(101)
 
