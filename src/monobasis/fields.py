@@ -57,6 +57,16 @@ def _decimal(n: int) -> str:
     return _decimal(high) + _decimal(low).zfill(k)
 
 
+def _fraction(text: str, name: str) -> Fraction:
+    """The rational a string spells, as Fraction reads it; InputError, as
+    for any other value that has no element of the field, when it spells
+    none or a zero denominator."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"cannot coerce {text!r} into {name}") from None
+
+
 class FpElement:
     """Residue modulo an odd prime p, canonical representative in [0, p)."""
 
@@ -172,7 +182,7 @@ class PrimeField:
                 raise InputError(f"denominator not invertible modulo {self.p}")
             return FpElement(value.numerator, self.p) / (value.denominator % self.p)
         if isinstance(value, str):
-            return self.of(Fraction(value))
+            return self.of(_fraction(value, self.name))
         raise InputError(f"cannot coerce {value!r} into {self.name}")
 
     def format(self, value: FpElement) -> str:
@@ -198,8 +208,10 @@ class RationalField:
     def of(self, value) -> Fraction:
         if isinstance(value, Fraction):
             return value
-        if isinstance(value, (int, str)):
+        if isinstance(value, int):
             return Fraction(value)
+        if isinstance(value, str):
+            return _fraction(value, self.name)
         raise InputError(f"cannot coerce {value!r} into Q")
 
     def format(self, value: Fraction) -> str:

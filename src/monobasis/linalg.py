@@ -13,12 +13,23 @@ So every entry is the minor dense Bareiss would hold, every division is
 exact, and the last pivot is the minor of the row-scaled matrix.
 
 Rank, determinant, the stage minors of both decompositions and ``solve``
-all run on ``_pivot``, the free-pivot kernel.  Its pivot is the shortest
-remaining row, at its entry in the column the fewest remaining rows hold
-(a cheap Markowitz rule, Markowitz 1957), which fills in far less than
-the column order on Macaulay and Koszul matrices; each pivot row is
-dropped once applied.  A rank and a determinant name no columns, so their
-pivot order is free.  A maximal minor chosen this way
+all run on ``_pivot``, the free-pivot kernel, which drops each pivot row
+once applied.  A step on pivot row r and column c updates (len(r) - 1)
+entries in each of the (holders(c) - 1) other rows holding c: that
+Markowitz product (Markowitz 1957) is the step's cost.  The kernel weighs
+two candidates and takes the cheaper, the first on a tie (Zlatev, SIAM J.
+Numer. Anal. 17, 1980): the shortest remaining row at its least-held
+column, and the least-held column at its shortest holder.  The first
+alone fills in far less than the column order on Macaulay and Koszul
+matrices, but it is blind where every row of one f_i has the same length,
+as in Macaulay's matrices, and the second finds the cheap steps there.
+The search for the second costs more than it saves on small steps, so a
+step looks for it only when the first would update more than _GATE
+entries, and the columns are kept by count only from the first such
+step.  ``solve`` keeps the first rule alone, and so does a matrix with
+more rows than columns, such as the rank oracle's, where the second cost
+more updates than it saved.  A rank and a determinant name no
+columns, so their pivot order is free.  A maximal minor chosen this way
 (``select_nonzero_maximal_minor``) follows the sparsity of the matrix, not
 the order of its columns, and is signed by both the row and the column
 permutation that put its pivots in step order; the determinant of an
@@ -74,6 +85,16 @@ __all__ = ["Matrix", "MinorSelection", "select_nonzero_maximal_minor"]
 # sends the rank straight to the exact kernel
 _P = 2**30 - 35
 
+# the kernel looks for a cheaper pivot on the least-held column only at a
+# step whose shortest row would cost more entry updates than this.  The
+# search costs more than it saves on small steps: replaying the kernel
+# calls of one pass of the benchmark's basis-checks and oracle calls,
+# searching at every step took 24% longer than this gate on the small
+# sparse systems, where a step averages one update, and 4% longer on the
+# dense ones; a gate of 16 took 0.5% and 1.2% longer.  At 64 no step of
+# the sparse systems searches, while the large stages of dense ones do
+_GATE = 64
+
 
 def _permutation_sign(order: list) -> int:
     """Sign of the permutation that sorts the distinct values ``order``."""
@@ -91,19 +112,27 @@ def _pivot(rows: list, p=None, m=None, stop=False) -> tuple:
     """The free-pivot kernel: forward elimination, in place, of dict rows
     of residues mod the prime p, or of integers if p is None.
 
-    The pivot is the shortest remaining row, at its entry in the column the
-    fewest remaining rows hold (Markowitz's rule, cheaply), and a pivot row
-    is dropped once it has been applied: its slot in ``rows`` becomes {},
-    and its dict is left as it was at its step, so a caller that kept
-    ``list(rows)`` holds every pivot row.  Over Z the update is Bareiss's,
-    by lazy levels.  With ``m`` set (by ``solve``, on [A | B] with m the
-    columns of A) a row takes a column >= m only when it holds none below.
-    Returns the indices of the pivot rows and the pivot columns in step
-    order, and the minor on them in that order: the product of the pivots
-    mod p, the last pivot over Z.  With ``stop`` set it returns the steps
-    taken so far as soon as a row is or becomes empty: that row alone
-    proves the rows dependent, all that a caller asking whether every row
-    pivots needs to know (on a square input, whether it is non-singular).
+    A step on a row of length n, at a column that h remaining rows hold,
+    updates (n - 1) * (h - 1) entries, its Markowitz product.  Each step
+    weighs the shortest remaining row at its least-held column by that
+    product; when it exceeds _GATE, the step also weighs the least-held
+    column at its shortest holder, and pivots there if that product is
+    smaller.  Rows wait in lists by length and, from the first step past
+    _GATE, columns in lists by count; each is listed again after each step
+    that may change it, and a listing that no longer matches is skipped.
+    On more rows than the columns they hold only the shortest row is
+    weighed, and so with ``m`` set (by ``solve``, on [A | B] with m the
+    columns of A), where it takes a column >= m only when it holds none
+    below.  A pivot row is dropped once it has been applied: its slot in
+    ``rows`` becomes {}, and its dict is left as it was at its step, so a
+    caller that kept ``list(rows)`` holds every pivot row.  Over Z the
+    update is Bareiss's, by lazy levels.  Returns the indices
+    of the pivot rows and the pivot columns in step order, and the minor
+    on them in that order: the product of the pivots mod p, the last pivot
+    over Z.  With ``stop`` set it returns the steps taken so far as soon
+    as a row is or becomes empty: that row alone proves the rows
+    dependent, all that a caller asking whether every row pivots needs to
+    know (on a square input, whether it is non-singular).
     """
     count = {}  # column -> the number of remaining rows holding it
     holders = {}  # column -> the rows that have held it, since-cleared ones too
@@ -121,6 +150,20 @@ def _pivot(rows: list, p=None, m=None, stop=False) -> tuple:
             return [], [], 1
     lengths = list(buckets)  # a heap of the keys of buckets
     heapify(lengths)
+    # the least-held column is weighed only at a step past _GATE, and never
+    # for solve or on more rows than the columns they hold, whose surplus
+    # rows must all cancel and where it cost more updates than it saved.
+    # No column has more holders than there are rows, so a row no longer
+    # than short cannot pass _GATE; no row is longer than len(count)
+    if m is None and 1 < len(rows) <= len(count):
+        short = 1 + _GATE // (len(rows) - 1)
+    else:
+        short = len(count)
+    # columns by count, built at the first step past _GATE; from then on
+    # the columns of each pivot row, the only ones its step can change, are
+    # listed again after it: an entry whose count is no longer its
+    # column's is stale
+    held = None
     level = [0] * len(rows)  # over Z: the pivot steps each row was brought up to
     prev = [1]  # over Z, prev[k]: the pivot of step k
     order, cols, factor = [], [], 1
@@ -136,6 +179,35 @@ def _pivot(rows: list, p=None, m=None, stop=False) -> tuple:
         if n != len(pivot):
             continue
         c = min(pivot, key=fewest)
+        # cost: the entries this step would update
+        if n > short and (cost := (n - 1) * (count[c] - 1)) > _GATE:
+            if held is None:
+                held = {}
+                for j, t in count.items():
+                    held.setdefault(t, []).append(j)
+                tallies = list(held)  # a heap of the keys of held
+                heapify(tallies)
+            while True:
+                t = tallies[0]
+                listed = held[t]
+                j = listed[-1]
+                if count.get(j) == t:
+                    break
+                listed.pop()
+                if not listed:
+                    del held[t]
+                    heappop(tallies)
+            # the least-held column j, at its shortest live holder h, the
+            # latest listed of those, as the shortest row is of its length
+            h = min((h for h in reversed(holders[j]) if j in rows[h]), key=lambda h: len(rows[h]))
+            if (len(rows[h]) - 1) * (t - 1) < cost:
+                # the shortest row waits for a later step
+                if n in buckets:
+                    buckets[n].append(i)
+                else:
+                    buckets[n] = [i]
+                    heappush(lengths, n)
+                i, c, pivot = h, j, rows[h]
         k = len(cols)
         if p is None and level[i] < k:
             # the steps this row skipped only scaled it, each entry exactly
@@ -207,6 +279,14 @@ def _pivot(rows: list, p=None, m=None, stop=False) -> tuple:
         for j, _ in tail:
             if not count[j]:
                 del count[j], holders[j]
+        if held is not None:
+            for j, _ in tail:
+                if t := count.get(j):
+                    if t in held:
+                        held[t].append(j)
+                    else:
+                        held[t] = [j]
+                        heappush(tallies, t)
     return order, cols, factor if p else prev[-1]
 
 

@@ -97,6 +97,17 @@ def test_rationals_of_any_length_format_exactly():
     assert sys.get_int_max_str_digits() == limit
 
 
+@pytest.mark.parametrize("field", [GF(101), QQ], ids=["F101", "Q"])
+def test_malformed_strings_have_no_element(field):
+    """A string that spells no rational, or one over zero, raises
+    InputError like every other value the field cannot take."""
+    for text in ("abc", "", "1/", "1/0", "0/0", "2.5.1", "x1"):
+        with pytest.raises(InputError, match=f"^cannot coerce '.*' into {field.name}$"):
+            field.of(text)
+    assert field.of(" -3/6 ") == field.of(Fraction(-1, 2))
+    assert field.of("1.25") == field.of(Fraction(5, 4))
+
+
 def test_field_from_spec():
     assert field_from_spec("q") is QQ
     assert field_from_spec("fp:13").p == 13

@@ -1,5 +1,6 @@
 """Determinant/rank tests against an independent cofactor-expansion oracle."""
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -19,8 +20,9 @@ from monobasis import (
 )
 from monobasis import linalg
 from monobasis.fields import is_prime
-from monobasis.koszul import koszul_term
-from monobasis.linalg import _P, _integral, _permutation_sign, _pivot
+from monobasis.detcomplex import decompose_descending
+from monobasis.koszul import build_complex, koszul_term
+from monobasis.linalg import _GATE, _P, _integral, _permutation_sign, _pivot
 from monobasis.resultants import macaulay_matrix
 
 from conftest import identity_matrix, random_system
@@ -807,11 +809,87 @@ def lower_level_pivots(m, order, cols):
     return lower
 
 
+def row_rule_steps(m, monkeypatch):
+    """The kernel's steps on m with the gate shut: the shortest row at its
+    least-held column at every step, the rule alone."""
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_GATE", math.inf)
+        return kernel_steps(m)
+
+
+def res_stages(field):
+    """Maps of the resultant complex of the leading forms of seed 1's
+    dense (2,2,2,2) system, at degree rho + 1 = 5: its stage-1 map d_1
+    (80 x 56), the square 56 x 56 stage 1 of its descending decomposition,
+    d_1's transpose (56 x 80) and d_2 (24 x 80)."""
+    degrees = (2, 2, 2, 2)
+    forms = seeded_system(1, degrees, field, range(-5, 6)).leading_forms()
+    c = build_complex(forms, sum(degrees) - len(degrees) + 1, ())
+    d1, d2 = c.differentials[:2]
+    chosen = set(decompose_descending(c).stage_minors[1].col_indices)
+    square = Matrix(field, [r for i, r in enumerate(d1.rows) if i not in chosen], d1.ncols)
+    transposed = Matrix(field, [{i: r[j] for i, r in enumerate(d1.rows) if j in r}
+                                for j in range(d1.ncols)], d1.nrows)
+    return d1, square, transposed, d2
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=["F101", "Q"])
+def test_a_singleton_column_pivots_before_the_shortest_row(field, monkeypatch):
+    """Rows 1..11 hold columns 1..11 and row 0 all twelve, so column 0 is
+    row 0's alone.  The shortest row, the last one, would cost 10 * 11
+    entry updates at any of its columns, past _GATE; column 0 at row 0
+    costs none, so it is the first pivot, where the row rule takes the
+    last row.  The determinant is the reference's.  With a thirteenth row
+    on columns 1..11 the matrix is tall, and the row rule stays."""
+    rng = random.Random(f"singleton-{field.name}")
+    entry = nonzero_entry(field, rng)
+    rows = [{j: entry() for j in range(1, 12)} for _ in range(13)]
+    rows[0][0] = entry()
+    m = Matrix(field, rows[:12], 12)
+    assert 10 * 11 > _GATE
+    order, cols = kernel_steps(m)
+    assert (order[0], cols[0]) == (0, 0)
+    assert row_rule_steps(m, monkeypatch)[0][0] == 11
+    assert m.det() == lexicographic_minor(m).minor_value != field.zero
+    tall = Matrix(field, rows, 12)
+    assert kernel_steps(tall) == row_rule_steps(tall, monkeypatch)
+    assert kernel_steps(tall)[0][0] == 12
+    assert tall.rank() == left_to_right_rank(tall) == 12
+
+
+@pytest.mark.parametrize("field", [F3, F101, QQ], ids=["F3", "F101", "Q"])
+def test_small_matrices_keep_the_row_rule(field, monkeypatch):
+    """On at most nine rows and nine columns no step costs more than
+    8 * 8 entry updates, within _GATE, so the kernel takes exactly the row
+    rule's pivots.  A kernel that also searched the columns at every step
+    would take other pivots on many of these sparse matrices."""
+    assert 8 * 8 <= _GATE
+    rng = random.Random(f"row-rule-{field.name}")
+    entry = nonzero_entry(field, rng)
+    searched = 0
+    for _ in range(60):
+        nrows, ncols = rng.randrange(2, 10), rng.randrange(2, 10)
+        rows = [{j: entry() for j in rng.sample(range(ncols), rng.randrange(1, min(4, ncols) + 1))}
+                for _ in range(nrows)]
+        m = Matrix(field, rows, ncols)
+        steps = kernel_steps(m)
+        assert steps == row_rule_steps(m, monkeypatch)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_GATE", 0)
+            searched += kernel_steps(m) != steps
+    assert searched >= 10, searched
+
+
 @pytest.mark.parametrize("field", [F3, F101, FP, QQ], ids=["F3", "F101", "FP", "Q"])
-def test_free_pivot_minor_is_the_minor_on_its_columns(field):
+def test_free_pivot_minor_is_the_minor_on_its_columns(field, monkeypatch):
     """Small sparse matrices against the cofactor oracle, larger ones with
     rows spread over the columns against the left-to-right kernel, and rows
-    with copies, sums and zero rows, which both selectors must reject."""
+    with copies, sums and zero rows, which both selectors must reject.
+    Then the resultant stages of a dense (2,2,2,2) system, large enough
+    for the kernel to pivot on a least-held column: the rank and the
+    determinant are the left-to-right reference's, and each whole-matrix
+    selection on a wide map is a non-zero minor, the reference's on its
+    columns."""
     rng = random.Random(f"free-minor-{field.name}")
     entry = nonzero_entry(field, rng)
     checked = lower = 0
@@ -853,6 +931,17 @@ def test_free_pivot_minor_is_the_minor_on_its_columns(field):
         checked += 1
         lower += lower_level_pivots(m, *kernel_steps(m))
     assert checked >= 20 and lower >= 30
+    # the resultant stages of a dense (2,2,2,2) system, where steps pass
+    # _GATE and some pivot on a least-held column instead of a shortest row
+    d1, square, *wide = res_stages(field)
+    assert d1.rank() == left_to_right_rank(d1) == 56
+    assert square.det() == lexicographic_minor(square).minor_value != field.zero
+    for m in wide:
+        sel = select_nonzero_maximal_minor(m)
+        assert sel == unstopped_selection(m)
+        sub = m.submatrix(range(m.nrows), sel.col_indices)
+        assert sel.minor_value == lexicographic_minor(sub).minor_value != field.zero
+    assert any(kernel_steps(m) != row_rule_steps(m, monkeypatch) for m in (d1, *wide))
 
 
 # ---------------------------------------------------------------------------
@@ -950,7 +1039,8 @@ def test_every_minor_run_stops_at_its_first_cancelled_row(field, monkeypatch):
     step, where a run that does not stop pivots every independent row; on
     a wide matrix given columns are tried first, by a run that stops too.
     On independent rows no row cancels: the selection is that of a run
-    that does not stop."""
+    that does not stop.  Last a singular square stage of a resultant
+    complex, large enough for the kernel to pivot on least-held columns."""
     rng = random.Random(f"stop-{field.name}")
     runs = spy_on_runs(monkeypatch)
     reached = 0
@@ -987,6 +1077,20 @@ def test_every_minor_run_stops_at_its_first_cancelled_row(field, monkeypatch):
         else:
             assert select_nonzero_maximal_minor(m) == want
             assert runs == [(True, nrows, nrows)]
+    # the resultant's square stage 1 of a dense (2,2,2,2) system, its last
+    # row traded for the sum of its first two: the selection and the
+    # determinant each stop before every row has pivoted; over F_3 the
+    # stage's rows are too short for any of its steps to pass _GATE
+    rows = list(res_stages(field)[1].rows)
+    rows[-1] = {j: e for j in rows[0].keys() | rows[1].keys()
+                if (e := rows[0].get(j, field.zero) + rows[1].get(j, field.zero))}
+    m = Matrix(field, rows, len(rows))
+    runs.clear()
+    with pytest.raises(NotFullRank):
+        select_nonzero_maximal_minor(m)
+    assert m.det() == field.zero
+    assert [(stop, full) for stop, _, full in runs] == [(True, 55)] * 2
+    assert all(pivoted < 56 for _, pivoted, _ in runs), runs
 
 
 # ---------------------------------------------------------------------------
