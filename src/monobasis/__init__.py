@@ -42,7 +42,6 @@ from .polynomials import (
     MonomialSet,
     MultiPoly,
     PolySystem,
-    dehomogenize,
     homogenize,
     m0_set,
     mono_key,

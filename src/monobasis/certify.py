@@ -222,38 +222,67 @@ class VandermondeReport:
         return self.matched_sign is not None
 
 
+def _factors(m) -> tuple:
+    """The monomial x^m as its (i, m_i) pairs with m_i > 0."""
+    return tuple((i, e) for i, e in enumerate(m) if e)
+
+
+def _terms(f: MultiPoly) -> list:
+    """f as its (coefficient, ``_factors``) pairs."""
+    return [(c, _factors(m)) for m, c in f.terms.items()]
+
+
+def _at(powers, factors, v):
+    """v * x^m at a root, x^m given by its ``_factors`` and the root by its
+    power table: ``powers[i][e]`` is x_i^e."""
+    for i, e in factors:
+        v = v * powers[i][e]
+    return v
+
+
+def _value(powers, terms, zero):
+    """A polynomial, given by its ``_terms``, at a root."""
+    return sum((_at(powers, factors, c) for c, factors in terms), zero)
+
+
 def vandermonde_verify(sys: PolySystem, roots, M: MonomialSet) -> VandermondeReport:
     """Check det(M(M))^2 * Res^(2*delta - rho + 1) = +-J * (Delta^delta)^2.
 
     The caller supplies all bezout-many simple roots; each is verified to
-    be a common zero, and no two may coincide.  Res and Delta^delta are
-    read from ``certify_basis``.  For M = M0 the exact sign constant of the
-    classical identity is checked as well.
+    be a common zero, and no two may coincide.  The partials
+    d f_i / d x_j are formed once per call.  Each root zeta gets one table
+    of its coordinate powers x_i^e, e up to the largest d_i and exponent
+    of M, from which are read every f_j(zeta), the row m(zeta) of the grid
+    and the n x n matrix of partials at zeta, whose determinant, taken by
+    the one elimination kernel, is J(zeta); J is their product over the
+    roots.  Res and Delta^delta are read from ``certify_basis``.  For
+    M = M0 the exact sign constant of the classical identity is checked as
+    well.
     """
     profile = _check_question(sys, M)
     field = sys.field
+    zero, one = field.zero, field.one
     roots = [tuple(field.of(x) for x in pt) for pt in roots]
     if len(roots) != profile.bezout:
         raise InputError(f"expected {profile.bezout} roots, got {len(roots)}")
+    top = max(*profile.degrees, *(e for m in M for e in m))
+    polys = [_terms(f) for f in sys.polys]
+    partials = [[_terms(f.partial(j)) for j in range(sys.n)] for f in sys.polys]
+    columns = [_factors(m) for m in M]
+    grid = []
+    jprod = one
     for pt in roots:
         if len(pt) != sys.n:
             raise InputError("root with the wrong number of coordinates")
-        for f in sys.polys:
-            if f.evaluate(pt):
-                raise InputError(f"supplied point {pt} is not a common root")
+        powers = [[x**e for e in range(top + 1)] for x in pt]
+        if any(_value(powers, f, zero) for f in polys):
+            raise InputError(f"supplied point {pt} is not a common root")
+        grid.append([_at(powers, factors, one) for factors in columns])
+        jac = [[_value(powers, d, zero) for d in row] for row in partials]
+        jprod = jprod * Matrix(field, jac, ncols=sys.n).det()
     if len(set(roots)) != len(roots):
         raise InputError("repeated roots: the identity needs distinct roots")
-
-    grid = [
-        [math.prod((x**e for x, e in zip(pt, m)), start=field.one) for m in M]
-        for pt in roots
-    ]
     det_value = Matrix(field, grid, ncols=len(M)).det()
-
-    jac = sys.jacobian()
-    jprod = field.one
-    for pt in roots:
-        jprod = jprod * jac.evaluate(pt)
 
     cert = certify_basis(sys, M)
     res = cert.res_value
@@ -308,16 +337,6 @@ def upsilon_bivariate(f1: MultiPoly, f2: MultiPoly, d1: int, d2: int):
     rho = d1 + d2 - 2
     value = num / res ** (rho + 1)
     return value if sign_constant(DegreeProfile((d1, d2))) == 1 else -value
-
-
-def m1_set(d1: int, d2: int) -> MonomialSet:
-    """The staircase set {x1^a1 x2^a2 : a1 < d1, a2 <= d1 + d2 - 2a1 - 2}."""
-    monos = [
-        (a1, a2)
-        for a1 in range(d1)
-        for a2 in range(d1 + d2 - 2 * a1 - 1)
-    ]
-    return MonomialSet(monos)
 
 
 # ---------------------------------------------------------------------------

@@ -267,32 +267,6 @@ def homogenize(p: MultiPoly, declared_degree: int) -> MultiPoly:
     return MultiPoly._valid(p.field, p.nvars + 1, out)
 
 
-def dehomogenize(p: MultiPoly) -> MultiPoly:
-    """Set the first variable to 1 and drop it."""
-    if p.nvars < 2:
-        raise ShapeError("need at least two variables to dehomogenize")
-    out = {}
-    zero = p.field.zero
-    for m, c in p.terms.items():
-        key = m[1:]
-        out[key] = out.get(key, zero) + c
-    return MultiPoly(p.field, p.nvars - 1, out)
-
-
-def _poly_det(entries) -> MultiPoly:
-    # cofactor expansion; the Jacobian matrices here are tiny
-    n = len(entries)
-    if n == 1:
-        return entries[0][0]
-    first = entries[0]
-    result = MultiPoly.zero(first[0].field, first[0].nvars)
-    for j in range(n):
-        minor = [[row[k] for k in range(n) if k != j] for row in entries[1:]]
-        term = first[j] * _poly_det(minor)
-        result = result + (term if j % 2 == 0 else -term)
-    return result
-
-
 @dataclass(frozen=True)
 class PolySystem:
     """A list of polynomials with declared degrees (deg f_i <= d_i)."""
@@ -340,13 +314,6 @@ class PolySystem:
         return PolySystem(
             [homogenize(f, d) for f, d in zip(self.polys, self.degrees)], self.degrees
         )
-
-    def jacobian(self) -> MultiPoly:
-        """det(d f_i / d x_j), expanded as a polynomial."""
-        if self.nvars != self.n:
-            raise ShapeError("Jacobian requires as many polynomials as variables")
-        rows = [[f.partial(j) for j in range(self.nvars)] for f in self.polys]
-        return _poly_det(rows)
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,16 @@ stdout and exit code of ``basis-check --oracle``, ``resultant`` and
 ``subresultant`` for every question, and of every ``factor``, ``mulmat``
 and ``vandermonde-verify`` identity call, its arguments built by
 ``bench/run.py``'s ``identity_argv``; all run in-process through
-``cli.main``.  ``mulmat`` reaches ``Matrix.solve``.  Last it prints the
-stdout, stderr and exit code of ``basis-check`` on one (2,2) system over Q
-and over F_101 for each of a fixed list of ``--monomials`` spellings, some
-accepted and some rejected, so that the monomial-list grammar, values and
-error messages are compared too.  A change that should move no answer
-must leave this text as it was:
+``cli.main``.  ``mulmat`` reaches ``Matrix.solve``.  For every
+``vandermonde-transformed`` call, a transformed power system with its
+roots, it prints each field of the ``VandermondeReport`` that
+``certify.vandermonde_verify`` returns, as ``key=repr(value)``, the
+system read by ``cli.load_system`` as the benchmark reads it.  Last it
+prints the stdout, stderr and exit code of ``basis-check`` on one (2,2)
+system over Q and over F_101 for each of a fixed list of ``--monomials``
+spellings, some accepted and some rejected, so that the monomial-list
+grammar, values and error messages are compared too.  A change that
+should move no answer must leave this text as it was:
 
     python tests/answers.py base/src > base.txt
     python tests/answers.py src > head.txt
@@ -24,6 +28,7 @@ must leave this text as it was:
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import os
 import sys
@@ -68,6 +73,19 @@ def answer(cli, argv, stderr=False) -> str:
     return f"{shown}exit={code}\n"
 
 
+def transformed(monobasis, ident) -> str:
+    """The report of ``vandermonde_verify`` on a transformed power system,
+    its roots and its set, one ``key=repr(value)`` line per field."""
+    field = monobasis.field_from_spec(f"fp:{ident.p}" if ident.p else "q")
+    system = monobasis.cli.load_system(ident.path, field)
+    roots = [tuple(field.of(x) for x in z) for z in ident.roots]
+    try:
+        report = monobasis.vandermonde_verify(system, roots, monobasis.MonomialSet(ident.mset))
+    except monobasis.AlgebraError as exc:
+        return f"error={type(exc).__name__}: {exc}\n"
+    return "".join(f"{f.name}={getattr(report, f.name)!r}\n" for f in dataclasses.fields(report))
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -75,6 +93,7 @@ def main(argv=None) -> int:
         return 2
     src = os.path.abspath(argv[0])
     sys.path.insert(0, src)
+    import monobasis
     from monobasis import cli
 
     if not os.path.abspath(cli.__file__).startswith(os.path.join(src, "monobasis") + os.sep):
@@ -98,11 +117,13 @@ def main(argv=None) -> int:
                     print(f"# {workload} {os.path.basename(q.path)} {q.field} {q.kind} {command[0]}")
                     sys.stdout.write(answer(cli, command))
             for ident in identities:
+                name = os.path.basename(ident.path) if ident.system else "-"
+                field = f"fp:{ident.p}" if ident.p else "q"
+                print(f"# {workload} {name} {field} identity {ident.kind}")
                 if ident.kind in IDENTITY_CALLS:
-                    name = os.path.basename(ident.path) if ident.system else "-"
-                    field = f"fp:{ident.p}" if ident.p else "q"
-                    print(f"# {workload} {name} {field} identity {ident.kind}")
                     sys.stdout.write(answer(cli, identity_argv(ident)))
+                else:
+                    sys.stdout.write(transformed(monobasis, ident))
         path = os.path.join(tmp, "system22.txt")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(SYSTEM22)

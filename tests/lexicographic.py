@@ -14,14 +14,17 @@ integers and the sign of a permutation.
 
 ``sylvester_resultant`` is the reference for the resultant of two binary
 forms: the determinant of their Sylvester matrix, which no Koszul complex
-builds.
+builds.  ``jacobian`` is the reference for the Jacobian determinant J: the
+symbolic det(d f_i / d x_j), expanded by cofactors, where the library
+takes each J(zeta) numerically.  ``dehomogenize`` and ``m1_set`` serve the
+tests alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from monobasis import InputError, Matrix, MultiPoly, NotFullRank
+from monobasis import InputError, Matrix, MonomialSet, MultiPoly, NotFullRank, ShapeError
 from monobasis.fields import FpElement, PrimeField
 from monobasis.linalg import MinorSelection, _integral, _permutation_sign
 from monobasis.resultants import _check_binary
@@ -153,3 +156,47 @@ def sylvester_resultant(f: MultiPoly, g: MultiPoly, d1: int, d2: int):
         for s in range(copies - 1, -1, -1)
     ]
     return Matrix(f.field, rows, ncols=d1 + d2).det()
+
+
+def _poly_det(entries) -> MultiPoly:
+    # cofactor expansion; the Jacobian matrices here are tiny
+    n = len(entries)
+    if n == 1:
+        return entries[0][0]
+    first = entries[0]
+    result = MultiPoly.zero(first[0].field, first[0].nvars)
+    for j in range(n):
+        minor = [[row[k] for k in range(n) if k != j] for row in entries[1:]]
+        term = first[j] * _poly_det(minor)
+        result = result + (term if j % 2 == 0 else -term)
+    return result
+
+
+def jacobian(sys) -> MultiPoly:
+    """det(d f_i / d x_j) of a PolySystem, expanded as a polynomial."""
+    if sys.nvars != sys.n:
+        raise ShapeError("Jacobian requires as many polynomials as variables")
+    rows = [[f.partial(j) for j in range(sys.nvars)] for f in sys.polys]
+    return _poly_det(rows)
+
+
+def dehomogenize(p: MultiPoly) -> MultiPoly:
+    """Set the first variable to 1 and drop it."""
+    if p.nvars < 2:
+        raise ShapeError("need at least two variables to dehomogenize")
+    out = {}
+    zero = p.field.zero
+    for m, c in p.terms.items():
+        key = m[1:]
+        out[key] = out.get(key, zero) + c
+    return MultiPoly(p.field, p.nvars - 1, out)
+
+
+def m1_set(d1: int, d2: int) -> MonomialSet:
+    """The staircase set {x1^a1 x2^a2 : a1 < d1, a2 <= d1 + d2 - 2a1 - 2}."""
+    monos = [
+        (a1, a2)
+        for a1 in range(d1)
+        for a2 in range(d1 + d2 - 2 * a1 - 1)
+    ]
+    return MonomialSet(monos)

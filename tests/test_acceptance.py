@@ -36,7 +36,6 @@ from monobasis import (
     upsilon_bivariate,
     vandermonde_verify,
 )
-from monobasis.certify import m1_set
 from monobasis.errors import NotExact
 from monobasis.subresultants import (
     delta_shift_check,
@@ -44,7 +43,7 @@ from monobasis.subresultants import (
     subresultant_delta,
 )
 
-from lexicographic import sylvester_resultant
+from lexicographic import jacobian, m1_set, sylvester_resultant
 
 F101 = GF(101)
 F13 = GF(13)
@@ -327,7 +326,7 @@ def test_10_bivariate_closed_form():
             sysL, rootsL = _transformed_grid(rng, F, (d1, d2))
             grid = [[MultiPoly.monomial(F, m).evaluate(pt) for m in M1] for pt in rootsL]
             det = Matrix(F, grid, ncols=len(M1)).det()
-            jac = sysL.jacobian()
+            jac = jacobian(sysL)
             J = F.one
             for pt in rootsL:
                 J = J * jac.evaluate(pt)

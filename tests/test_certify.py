@@ -30,13 +30,14 @@ from monobasis import (
     vandermonde_verify,
 )
 from monobasis import linalg
-from monobasis.certify import _macaulay_rows, m1_set
+from monobasis.certify import _macaulay_rows
 from monobasis.cli import parse_poly
 from monobasis.koszul import koszul_term
 from monobasis.linalg import _P
 from monobasis.resultants import macaulay_matrix
 
 from conftest import identity_matrix, lifted_m0, random_system, sparse_affine
+from lexicographic import jacobian, m1_set
 from sweep import seeded_system, sweep
 
 F13 = GF(13)
@@ -254,7 +255,7 @@ def test_upsilon_matches_roots_on_transformed_grid():
         M1 = m1_set(d1, d2)
         grid = [[MultiPoly.monomial(F, m).evaluate(pt) for m in M1] for pt in rootsL]
         det = Matrix(F, grid, ncols=len(M1)).det()
-        jac = sysL.jacobian()
+        jac = jacobian(sysL)
         J = F.one
         for pt in rootsL:
             J = J * jac.evaluate(pt)
@@ -276,6 +277,69 @@ def test_transform_roots_solves_and_rejects_a_singular_change():
             transform_roots(pts, singular)
     with pytest.raises(ShapeError):
         transform_roots(roots, Matrix(F, [[F.of(1), F.of(0)]]))
+
+
+
+def transformed_power_system(seed, degrees, field):
+    """A seeded power system x_i^d_i - b_i^d_i, b_i in 1..3, its roots and
+    an invertible L with entries in -3..3 to compose it with."""
+    rng = random.Random(seed)
+    n = len(degrees)
+    sys0, roots0 = power_system(field, degrees, [rng.randint(1, 3) for _ in range(n)])
+    while True:
+        L = Matrix(field, [[field.of(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)])
+        if L.det():
+            return sys0, roots0, L
+
+
+@pytest.mark.parametrize("degrees, field", [
+    ((2, 2), QQ), ((2, 2), F101), ((3, 2), F13),
+    ((2, 2, 2), QQ), ((2, 2, 2), F101), ((3, 2, 2), F13),
+], ids=["22-Q", "22-F101", "32-F13", "222-Q", "222-F101", "322-F13"])
+def test_vandermonde_matches_the_symbolic_jacobian_and_the_monomial_grid(degrees, field):
+    """On M0 and on M0 with its top monomial traded for x1^(d1+1), whose
+    exponent passes every degree: J is the product of the symbolic
+    Jacobian's values, det_value the det of the grid of monomial values,
+    and the sign checks read the identity from these references."""
+    sys0, roots0, L = transformed_power_system(f"{degrees}:{field.name}", degrees, field)
+    sys_, roots = linear_transform(sys0, L), transform_roots(roots0, L)
+    profile = DegreeProfile(degrees)
+    jac = jacobian(sys_)
+    J = math.prod((jac.evaluate(pt) for pt in roots), start=field.one)
+    m0 = m0_set(degrees)
+    top = tuple(d - 1 for d in degrees)
+    high = (degrees[0] + 1,) + (0,) * (len(degrees) - 1)
+    traded = MonomialSet([m for m in m0 if m != top] + [high])
+    for M in (m0, traded):
+        rep = vandermonde_verify(sys_, roots, M)
+        grid = [[MultiPoly.monomial(field, m).evaluate(pt) for m in M] for pt in roots]
+        det = Matrix(field, grid, ncols=len(M)).det()
+        assert rep.jacobian_product == J
+        assert rep.det_value == det
+        cert = certify_basis(sys_, M)
+        lhs = det**2 * cert.res_value ** (2 * cert.t_used - profile.rho + 1)
+        rhs = J * cert.delta_value**2
+        assert rep.matched_sign == (1 if lhs == rhs else -1) and lhs in (rhs, -rhs)
+        assert rep.identity_residual == field.zero
+        if M is m0:
+            assert lhs == sign_constant(profile) * rhs and rep.disp_exact is True
+        else:
+            assert rep.disp_exact is None
+
+    def message(bad):
+        with pytest.raises(InputError) as err:
+            vandermonde_verify(sys_, bad, m0)
+        return str(err.value)
+
+    # a zero of every f_i but f_j: the first root of the power system with
+    # its j-th coordinate set to 0, moved by L
+    for j in range(len(degrees)):
+        z = roots0[0][:j] + (field.zero,) + roots0[0][j + 1 :]
+        point = transform_roots([z], L)[0]
+        assert message([point] + roots[1:]) == f"supplied point {point} is not a common root"
+    assert message(roots[:-1] + roots[:1]) == "repeated roots: the identity needs distinct roots"
+    assert message(roots[:-1] + [roots[-1][1:]]) == "root with the wrong number of coordinates"
+    assert message(roots[:-1]) == f"expected {len(roots)} roots, got {len(roots) - 1}"
 
 
 def sparse_system(rng, field, degrees):
