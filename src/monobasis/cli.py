@@ -86,7 +86,7 @@ def parse_poly(text: str, nvars: int, field) -> MultiPoly:
             i += 1
         if i >= len(tokens):
             raise ParseError("dangling sign", tokens[-1][2])
-        coeff = field.one
+        coeff = 1  # an int until a p/q token, a field element once stored
         mono = [0] * nvars
         while True:
             kind, value, pos = tokens[i]
@@ -97,11 +97,11 @@ def parse_poly(text: str, nvars: int, field) -> MultiPoly:
                     den = _int(bottom, pos + len(top) + 1)
                     if not den:
                         raise ParseError(f"zero denominator in {value}", pos)
-                    num = Fraction(num, den)
-                try:
-                    coeff = coeff * field.of(num)
-                except InputError as exc:  # no value in F_p
-                    raise ParseError(str(exc), pos) from None
+                    try:
+                        num = field.of(Fraction(num, den))
+                    except InputError as exc:  # no value in F_p
+                        raise ParseError(str(exc), pos) from None
+                coeff = coeff * num
             elif kind == "var":
                 k = _int(value[1:], pos + 1)
                 if not 1 <= k <= nvars:
@@ -123,8 +123,8 @@ def parse_poly(text: str, nvars: int, field) -> MultiPoly:
                 continue
             break
         mono = tuple(mono)
-        terms[mono] = terms.get(mono, field.zero) + (coeff if sign > 0 else -coeff)
-    return MultiPoly(field, nvars, terms)
+        terms[mono] = terms.get(mono, 0) + (coeff if sign > 0 else -coeff)
+    return MultiPoly(field, nvars, {m: field.of(c) for m, c in terms.items()})
 
 
 # `1`, or x<k> and x<k>^<e> factors joined by `*`, spaced as the

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from .errors import NotExact, NotFullRank
 from .hilbert import required_cardinality
 from .koszul import GradedComplex, build_complex
-from .linalg import Matrix, select_nonzero_maximal_minor
+from .linalg import _restricted, _transposed, select_nonzero_maximal_minor
 from .polynomials import PolySystem
 
 __all__ = [
@@ -77,10 +77,8 @@ def decompose_ascending(c: GradedComplex) -> DecompositionTrace:
     cols = list(range(dims[0]))
     minors = []
     for k in range(1, c.s + 1):
-        d = c.differentials[k - 1]
-        transposed = [{i: row[j] for i, row in enumerate(d.rows) if j in row} for j in cols]
         try:
-            sel = select_nonzero_maximal_minor(Matrix(c.field, transposed, ncols=dims[k]))
+            sel = select_nonzero_maximal_minor(_transposed(c.differentials[k - 1], cols))
         except NotFullRank:
             raise NotExact(f"stage {k}: restricted differential is not onto") from None
         minors.append(sel)
@@ -102,9 +100,8 @@ def decompose_descending(c: GradedComplex) -> DecompositionTrace:
     dets = []
     for k in range(c.s, 0, -1):
         d = c.differentials[k - 1]
-        restricted = Matrix(c.field, [d.rows[i] for i in rows], dims[k - 1])
         try:
-            sel = select_nonzero_maximal_minor(restricted, c.macaulay_columns(k))
+            sel = select_nonzero_maximal_minor(_restricted(d, rows), c.macaulay_columns(k))
         except NotFullRank:
             raise NotExact(f"stage {k}: restricted differential is not into") from None
         cols = sel.col_indices

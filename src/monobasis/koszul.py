@@ -28,10 +28,14 @@ sharing a code with a product, so the matrix is the same entry for entry.
 ``build_complex`` takes one radix for the whole of C_t, b = t + 1, since
 every product in C_t has degree at most t; so it codes each term once,
 for the map it is the source of and the map it is the target of, and
-makes each term of each P_i a (code, coefficient, negated coefficient)
-triple once, negating only the P_i that some wedge holds at an odd
-position.  ``koszul_map``, which takes any source and target, picks its
-own radix for each call.
+makes each term of each P_i a (code, value, negated value) triple once.
+``koszul_map``, which takes any source and target, picks its own radix.
+
+The builders write the values that the elimination kernel eats (see
+``linalg``): residues over F_p, and over Q the coefficients of P_i times
+D_i, the least common denominator of P_i's, in a row on the wedge I over
+lcm(D_i : i in I), 1 for an integral system, where the triples of P_i
+are scaled for I once per map when D_i is not that lcm.
 """
 from __future__ import annotations
 
@@ -39,9 +43,10 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import InputError
-from .linalg import Matrix
+from .linalg import Matrix, _prime
 from .polynomials import PolySystem, monomials_of_degree
 
 __all__ = ["GradedComplex", "build_complex", "koszul_map", "koszul_term"]
@@ -126,8 +131,7 @@ def koszul_map(sys: PolySystem, source, target) -> Matrix:
     exponent of a source monomial times a term, so a product's digits are
     its exponents.  A target monomial may have larger ones, and still
     shares no code with a product (see below).  Each term of each f_i
-    becomes (code, coefficient, negated coefficient) once, and the rows
-    share those values."""
+    becomes a (code, value, negated value) triple once, in kernel form."""
     # A term of f_i has no exponent above d_i.  If a target x^y shares its
     # code with a product x^m, whose digits m_k are below b, then
     # sum_k y_k b^k = sum_k m_k b^k + q b^v with q = deg m - deg y, and
@@ -136,9 +140,8 @@ def koszul_map(sys: PolySystem, source, target) -> Matrix:
     # so deg y >= deg m + q; hence q = 0 and y = m.
     b = 1 + max(map(max, map(operator.itemgetter(0), source)), default=0) + max(sys.degrees)
     weights = _weights(b, sys.nvars)
-    terms = [_coded_terms(f, weights, True) for f in sys.polys]
-    rows = _rows(source, _codes(source, weights), _index(target, _codes(target, weights)), terms)
-    return Matrix(sys.field, rows, ncols=len(target))
+    index = _index(target, _codes(target, weights))
+    return _map(sys, source, _codes(source, weights), index, _coded_terms(sys, weights), len(target))
 
 
 def _weights(b: int, v: int) -> list:
@@ -152,12 +155,19 @@ def _codes(term, weights) -> list:
     return [sum(map(mul, m, weights)) for m, _ in term]
 
 
-def _coded_terms(f, weights, negate: bool) -> list:
-    """f's terms as (code, coefficient, negated coefficient) triples;
-    without ``negate``, for an f that no wedge holds at an odd position,
-    the third item is the coefficient itself."""
-    mul = operator.mul
-    return [(sum(map(mul, m, weights)), c, -c if negate else c) for m, c in f.terms.items()]
+def _coded_terms(sys: PolySystem, weights) -> tuple:
+    """Each f_i's terms as (code, value, negated value) triples, values in
+    the kernel's form, and the D_i: over F_p residues and 1, over Q the
+    coefficients times D_i, the least common denominator of f_i's."""
+    mul, p = operator.mul, _prime(sys.field)
+    terms, dens = [], []
+    for f in sys.polys:
+        cs = f.terms.values()
+        den = 1 if p else functools.reduce(lcm, (c.denominator for c in cs), 1)
+        vs = [c.val for c in cs] if p else [c.numerator * (den // c.denominator) for c in cs]
+        terms.append([(sum(map(mul, m, weights)), v, (p or 0) - v) for m, v in zip(f.terms, vs)])
+        dens.append(den)
+    return terms, dens
 
 
 def _index(target, codes) -> dict:
@@ -168,28 +178,40 @@ def _index(target, codes) -> dict:
     return index
 
 
-def _rows(source, codes, index, terms) -> list:
-    """The rows of a map: the image of each source element, whose
-    monomial has the code in ``codes``, on the target that ``index`` lists;
-    ``terms[i - 1]`` holds f_i's (code, coefficient, negated coefficient)
-    triples, all codes in one radix."""
-    rows = []
+def _map(sys, source, codes, index, coded, ncols) -> Matrix:
+    """A map of sys, row r the image of source[r], whose monomial has the
+    code codes[r], on the ncols target elements that ``index`` lists;
+    ``coded`` is ``_coded_terms``, all codes in one radix."""
+    (terms, dens), p = coded, _prime(sys.field)
+    plans = {}  # wedge -> its (columns, triples, sign, rest) per factor, and its denominator
+    rows, row_dens = [], []
     for (_, wedge), a in zip(source, codes):
+        if wedge not in plans:
+            # a row on the wedge I has the denominator lcm(D_i : i in I),
+            # and f_i at position j of I enters times (-1)^j
+            den = functools.reduce(lcm, (dens[i - 1] for i in wedge), 1)
+            parts = []
+            for j, i in enumerate(wedge):
+                triples, scale = terms[i - 1], den // dens[i - 1]
+                if scale != 1:
+                    triples = [(c, v * scale, -v * scale) for c, v, _ in triples]
+                rest = wedge[:j] + wedge[j + 1 :]
+                parts.append((index.get(rest) or {}, triples, j % 2, rest))
+            plans[wedge] = parts, den
+        parts, den = plans[wedge]
         row = {}
-        for j, i in enumerate(wedge):
-            rest = wedge[:j] + wedge[j + 1 :]
-            cols = index.get(rest) or {}
-            negate = j % 2 == 1
-            for mono, coeff, neg in terms[i - 1]:
+        for cols, triples, negate, rest in parts:
+            for mono, v, neg in triples:
                 col = cols.get(a + mono)
                 # each (row, col) is hit once: distinct j give distinct
                 # wedges, distinct terms distinct monomials
                 if col is not None:
-                    row[col] = neg if negate else coeff
+                    row[col] = neg if negate else v
                 elif rest:
                     raise AssertionError("differential target missing")
         rows.append(row)
-    return rows
+        row_dens.append(den)
+    return Matrix._valid(sys.field, rows, ncols, None if p else row_dens)
 
 
 def build_complex(sys: PolySystem, t: int, S) -> GradedComplex:
@@ -212,14 +234,9 @@ def build_complex(sys: PolySystem, t: int, S) -> GradedComplex:
     # digit, still covers the targets
     weights = _weights(t + 1, v)
     codes = [_codes(basis, weights) for basis in bases]
-    # wedges are increasing, so f_1 heads every wedge that holds it
-    terms = [_coded_terms(f, weights, i > 0) for i, f in enumerate(sys.polys)]
+    coded = _coded_terms(sys, weights)
     diffs = tuple(
-        Matrix(
-            sys.field,
-            _rows(bases[k], codes[k], _index(bases[k - 1], codes[k - 1]), terms),
-            ncols=len(bases[k - 1]),
-        )
+        _map(sys, bases[k], codes[k], _index(bases[k - 1], codes[k - 1]), coded, len(bases[k - 1]))
         for k in range(1, sys.n + 1)
     )
     return GradedComplex(sys.n, t, v, bases, diffs, sys.field, sys.degrees)

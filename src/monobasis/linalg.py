@@ -1,78 +1,71 @@
 """Exact matrices over Q or F_p, on one free-pivot elimination kernel.
 
-Every matrix is sparse, from the Koszul builder through to the kernels: a
-row is a dict {column: value} of its non-zero entries.  A kernel only maps
-the values: to residues mod p or, over Q, to integers by the row's common
-denominator.  Mod p a minor is the product of the pivots.  Over Z the
-update is Bareiss's fraction-free one (Math. Comp. 1968), applied lazily:
-a row skips the steps whose column it does not hold and keeps its level,
-the number of steps it was last brought up to.  At step k a holder r of
-level j becomes (pv * r - r[c] * pivot) // prev[j], prev[j] the pivot of
-step j, and a pivot row of a lower level is first scaled up to level k.
-So every entry is the minor dense Bareiss would hold, every division is
-exact, and the last pivot is the minor of the row-scaled matrix.
+A matrix stores what the kernel eats, from the Koszul builder through to
+the kernel: row i is a dict {column: int} of its non-zero entries,
+residues in [1, p) over F_p, and over Q integers over one positive
+denominator per row, ``dens[i]``, which need not be the least.  Field
+elements appear only at the edges: a matrix written with them is
+converted when it is made, and an entry or a minor is read back as one.
+Each kernel call eliminates one copy of the rows, and over Q divides its
+minor by the product of their denominators.
 
 Rank, determinant, the stage minors of both decompositions and ``solve``
-all run on ``_pivot``, the free-pivot kernel, which drops each pivot row
-once applied.  A step on pivot row r and column c updates (len(r) - 1)
-entries in each of the (holders(c) - 1) other rows holding c: that
-Markowitz product (Markowitz 1957) is the step's cost.  The kernel weighs
-two candidates and takes the cheaper, the first on a tie (Zlatev, SIAM J.
-Numer. Anal. 17, 1980): the shortest remaining row at its least-held
-column, and the least-held column at its shortest holder.  The first
-alone fills in far less than the column order on Macaulay and Koszul
-matrices, but it is blind where every row of one f_i has the same length,
-as in Macaulay's matrices, and the second finds the cheap steps there.
-The search for the second costs more than it saves on small steps, so a
-step looks for it only when the first would update more than _GATE
-entries, and the columns are kept by count only from the first such
-step.  ``solve`` keeps the first rule alone, and so does a matrix with
-more rows than columns, such as the rank oracle's, where the second cost
-more updates than it saved.  A rank and a determinant name no
-columns, so their pivot order is free.  A maximal minor chosen this way
-(``select_nonzero_maximal_minor``) follows the sparsity of the matrix, not
-the order of its columns, and is signed by both the row and the column
-permutation that put its pivots in step order; the determinant of an
-exact complex does not depend on which minors its stages take.  Given a
-square choice of columns, as the descending decomposition gives each wide
-Koszul stage, the selector runs the kernel on the rows restricted to them
-first, and on the whole matrix only when that minor vanishes.  The rank
-mirrors it: given a square choice of rows, as the rank oracle gives each
-tall Macaulay matrix, it ranks those rows first, and the whole matrix
-only when they fall short.  A full rank on some rows is the full column
-rank of the matrix, so the choice only saves work.  Every selection,
-every determinant and every square rank attempt stops the kernel at the
-first row that cancels to nothing, which alone proves the rows
-dependent: a singular stage costs only the pivots up to its first
-dependent row, and NotFullRank counts no rows.  A whole-matrix rank and
-``solve`` run to the end, since on a tall matrix rows cancel anyway.
+all run on ``_pivot``.  Mod p a minor is the product of the pivots.  Over
+Z the update is Bareiss's fraction-free one (Math. Comp. 1968), applied
+lazily: a row skips the steps whose column it does not hold and keeps its
+level, the number of steps it was last brought up to.  At step k a holder
+r of level j becomes (pv * r - r[c] * pivot) // prev[j], prev[j] the
+pivot of step j, and a pivot row of a lower level is first scaled up to
+level k.  So every entry is a minor dense Bareiss would hold, every
+division is exact, and the last pivot is the minor of the matrix.
 
-A rank over Q is first taken mod the prime P = 2**30 - 35, entry by entry
-(n/d to n * d^-1 mod P).  That scales each row of the row-cleared integer
-matrix by a unit mod P, and the rank of an integer matrix mod P is at most
-its rank over Q, which is at most min(nrows, ncols): so a full rank mod P
-is the rank over Q.  P is the largest prime below 2**30, one CPython digit,
-so the kernel's products and reductions mod P stay on the one-digit path
-of CPython's long arithmetic.  Any other count, and any matrix with a
-denominator divisible by P, is re-done by the same kernel over Z, so every
-answer stays exact; a square choice of rows is only tried mod P, and when
-it falls short the whole matrix is ranked as above.
+A step on pivot row r and column c updates (len(r) - 1) entries in each
+of the (holders(c) - 1) other rows holding c, its Markowitz product
+(Markowitz 1957).  The kernel weighs two candidates and takes the
+cheaper, the first on a tie (Zlatev, SIAM J. Numer. Anal. 17, 1980): the
+shortest remaining row at its least-held column, and the least-held
+column at its shortest holder.  The first alone fills in far less than
+the column order on Macaulay and Koszul matrices, but it is blind where
+every row of one f_i has the same length, and the second finds the cheap
+steps there.  A step searches for the second only when the first would
+update more than _GATE entries; ``solve`` and matrices with more rows
+than columns, such as the rank oracle's, keep the first alone.  So a
+chosen maximal minor (``select_nonzero_maximal_minor``) follows the
+sparsity of the matrix, not the order of its columns, and is signed by
+the row and the column permutation of its steps; the determinant of an
+exact complex does not depend on which minors its stages take.
 
-``solve`` runs the kernel on the rows of [A | B], where a pivot row takes
-a column of B only when it holds no column of A: such a row, a
-combination of the rows, reads 0 = b with b non-zero, so the system is
-inconsistent.  Otherwise every pivot column is a column of A, and the
-pivot rows, triangular in step order, are back-substituted with the free
-variables, the other columns of A, at zero.
+Given a square choice of columns, as the descending decomposition gives
+each wide Koszul stage, the selector first runs the kernel on the rows
+restricted to them, and on the whole matrix only when that minor
+vanishes.  Given a square choice of rows, as the rank oracle gives each
+tall Macaulay matrix, the rank first ranks those rows: a full rank on
+them is the full column rank.  Every selection, determinant and square
+rank attempt stops at the first row that cancels, which alone proves the
+rows dependent, so a singular stage costs only the pivots up to it.
+
+A rank over Q is first taken mod the prime P = 2**30 - 35, the largest
+below 2**30, so that a residue is one CPython digit.  Where P divides no
+denominator, the integer rows mod P are the rational rows mod P times
+units, and the rank of an integer matrix mod P is at most its rank over
+Q, itself at most min(nrows, ncols): so a full rank mod P is the rank
+over Q.  Any other count, and a denominator divisible by P, is re-done
+over Z; a square choice of rows is only tried mod P.
+
+``solve`` runs the kernel on the rows of [A | B], over Q each brought to
+one denominator.  A pivot row takes a column of B only when it holds no
+column of A, and then it reads 0 = b with b non-zero: the system is
+inconsistent.  Otherwise the pivot rows, triangular in step order, are
+back-substituted with the free variables, the other columns of A, zero.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
-from math import lcm
+from itertools import repeat
+from math import lcm, prod
 
 from .errors import NotFullRank, ShapeError
 from .fields import FpElement, PrimeField
@@ -110,29 +103,20 @@ def _permutation_sign(order: list) -> int:
 
 def _pivot(rows: list, p=None, m=None, stop=False) -> tuple:
     """The free-pivot kernel: forward elimination, in place, of dict rows
-    of residues mod the prime p, or of integers if p is None.
+    of residues mod the prime p, or of integers if p is None, by the pivot
+    rules and the lazy Bareiss levels of the module docstring.
 
-    A step on a row of length n, at a column that h remaining rows hold,
-    updates (n - 1) * (h - 1) entries, its Markowitz product.  Each step
-    weighs the shortest remaining row at its least-held column by that
-    product; when it exceeds _GATE, the step also weighs the least-held
-    column at its shortest holder, and pivots there if that product is
-    smaller.  Rows wait in lists by length and, from the first step past
-    _GATE, columns in lists by count; each is listed again after each step
-    that may change it, and a listing that no longer matches is skipped.
-    On more rows than the columns they hold only the shortest row is
-    weighed, and so with ``m`` set (by ``solve``, on [A | B] with m the
-    columns of A), where it takes a column >= m only when it holds none
-    below.  A pivot row is dropped once it has been applied: its slot in
-    ``rows`` becomes {}, and its dict is left as it was at its step, so a
-    caller that kept ``list(rows)`` holds every pivot row.  Over Z the
-    update is Bareiss's, by lazy levels.  Returns the indices
-    of the pivot rows and the pivot columns in step order, and the minor
-    on them in that order: the product of the pivots mod p, the last pivot
-    over Z.  With ``stop`` set it returns the steps taken so far as soon
-    as a row is or becomes empty: that row alone proves the rows
-    dependent, all that a caller asking whether every row pivots needs to
-    know (on a square input, whether it is non-singular).
+    Rows wait in lists by length and, from the first step past _GATE,
+    columns in lists by count; each is listed again after each step that
+    may change it, and a stale listing is skipped.  With ``m`` set (by
+    ``solve``, on [A | B] with m the columns of A) a row takes a column
+    >= m only when it holds none below.  A pivot row, once applied, leaves
+    its slot in ``rows`` as {} and its dict as it was at its step, so a
+    caller that kept ``list(rows)`` holds every pivot row.  Returns the
+    pivot rows and columns in step order and the minor on them in that
+    order: the product of the pivots mod p, the last pivot over Z.  With
+    ``stop`` set it returns the steps so far as soon as a row is or
+    becomes empty, which alone proves the rows dependent.
     """
     count = {}  # column -> the number of remaining rows holding it
     holders = {}  # column -> the rows that have held it, since-cleared ones too
@@ -290,81 +274,53 @@ def _pivot(rows: list, p=None, m=None, stop=False) -> tuple:
     return order, cols, factor if p else prev[-1]
 
 
-def _integral(rows, keep=None) -> tuple:
-    """Rational dict rows, each cleared to integers by its own common
-    denominator, and the product of those denominators.  With ``keep``
-    the copies hold only the entries in those columns."""
-    scale, work = 1, []
-    for row in rows:
-        # folded, not lcm(*...): short argument tuples would pile up in the
-        # interpreter's tuple free lists until a full collection
-        den = reduce(lcm, (e.denominator for e in row.values()), 1)
-        scale *= den
-        work.append({j: e.numerator * (den // e.denominator)
-                     for j, e in row.items() if keep is None or j in keep})
-    return work, scale
+def _copy(rows, dens=None, keep=None) -> tuple:
+    """Copies of stored rows for the kernel, of their entries in the columns
+    ``keep`` if it is given, and the product of their denominators ``dens``."""
+    if keep is None:
+        work = [dict(row) for row in rows]
+    else:
+        work = [{j: v for j, v in row.items() if j in keep} for row in rows]
+    return work, prod(dens) if dens else 1
 
 
-def _residues(field, rows):
-    """Copies of dict rows of field elements mod the prime of the rank
-    test: their values mod p, or, over Q, the rows mod _P, entry by entry,
-    or None if a denominator is a multiple of _P.  Each rational row is its
-    integral row from ``_integral`` times the inverse of its denominator, a
-    unit mod _P: the rank mod _P is the same."""
-    if isinstance(field, PrimeField):
-        return [{j: e.val for j, e in row.items()} for row in rows]
-    out = []
-    for row in rows:
-        res = {}
-        for j, e in row.items():
-            d = e.denominator
-            if d == 1:
-                r = e.numerator % _P
-            elif d % _P:
-                r = e.numerator * pow(d, -1, _P) % _P
-            else:
-                return None
-            if r:
-                res[j] = r
-        out.append(res)
-    return out
+def _mod_P(rows, dens):
+    """Stored rational rows mod _P, or None if _P divides a denominator:
+    each is then the rational row mod _P times a unit, of the same rank."""
+    if not all(d % _P for d in dens):
+        return None
+    return [{j: r for j, v in row.items() if (r := v % _P)} for row in rows]
 
 
-def _exact(field, rows, keep=None) -> tuple:
-    """Copies of dict rows of field elements for the kernel, of their
-    entries in the columns ``keep`` if it is given: residues mod p, or
-    integers by ``_integral`` over Q; the product of the cleared
-    denominators (1 mod p), and the prime, None over Q."""
-    if isinstance(field, PrimeField):
-        work = [{j: e.val for j, e in row.items() if keep is None or j in keep} for row in rows]
-        return work, 1, field.p
-    return (*_integral(rows, keep), None)
+def _prime(field):
+    """The prime of F_p, None for Q."""
+    return field.p if isinstance(field, PrimeField) else None
 
 
-def _minor(field, rows, keep=None) -> MinorSelection | None:
-    """The free-pivot kernel on a copy of dict rows of field elements, of
+def _minor(m, keep=None) -> MinorSelection | None:
+    """The free-pivot kernel on a copy of the rows of the Matrix m, of
     their columns in ``keep`` if it is given, stopped at the first row that
     cancels: the selection of its pivot columns, sorted, and the minor on
     every row and those columns, or None when the rows are dependent."""
-    work, scale, p = _exact(field, rows, keep)
+    (work, scale), p = _copy(m.rows, m.dens, keep), _prime(m.field)
     order, cols, factor = _pivot(work, p, stop=True)
-    if len(order) < len(rows):
+    if len(order) < m.nrows:
         return None
     # the kernel's minor has its rows and columns in step order
     sign = _permutation_sign(order) * _permutation_sign(cols)
-    value = FpElement(sign * factor % p, p) if p else Fraction(sign * factor, scale)
+    value = FpElement(sign * factor, p) if p else Fraction(sign * factor, scale)
     return MinorSelection(tuple(sorted(cols)), value)
 
 
 class Matrix:
-    """Immutable sparse matrix: ``rows[i]`` is a dict {column: value} of
-    the non-zero entries of row i.  List rows, as matrices are written by
-    hand, are stored without their zeros.  Dict rows, as the library's
-    builders make them, are stored as given, without a copy: they hold
-    non-zero values only, in columns 0..ncols-1, and need ``ncols``.
+    """Immutable sparse matrix in the kernel's form: ``rows[i]`` is a dict
+    {column: int} of the non-zero entries of row i, residues in [1, p)
+    over F_p; over Q row i is ``rows[i]`` over ``dens[i]``, a positive int
+    (``dens`` is None over F_p).  Rows of field elements, lists or dicts of
+    the non-zero entries (which need ``ncols``), are converted here.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    __slots__ = ("field", "nrows", "ncols", "rows", "dens")
 
     def __init__(self, field, rows, ncols=None):
         if ncols is None:
@@ -372,89 +328,102 @@ class Matrix:
             if not rows or isinstance(rows[0], dict):
                 raise ShapeError("matrix needs an explicit column count")
             ncols = len(rows[0])
-        stored = []
+        p = _prime(field)
+        stored, dens = [], None if p else []
         for r in rows:
             if not isinstance(r, dict):
                 if len(r) != ncols:
                     raise ShapeError("row length disagrees with the column count")
-                r = {j: e for j, e in enumerate(r) if e}
-            stored.append(r)
-        self.field = field
-        self.nrows = len(stored)
-        self.ncols = ncols
-        self.rows = stored
+                r = dict(enumerate(r))
+            if p:
+                stored.append({j: v for j, e in r.items() if (v := field.of(e).val)})
+            else:
+                r = {j: q for j, e in r.items() if (q := field.of(e))}
+                # folded: lcm(*...)'s argument tuples would pile up in free lists
+                dens.append(den := reduce(lcm, (q.denominator for q in r.values()), 1))
+                stored.append({j: q.numerator * (den // q.denominator) for j, q in r.items()})
+        self.field, self.nrows, self.ncols = field, len(stored), ncols
+        self.rows, self.dens = stored, dens
+
+    @classmethod
+    def _valid(cls, field, rows, ncols, dens=None) -> "Matrix":
+        """A matrix on rows in the stored form, ``dens`` over Q, uncopied."""
+        m = cls.__new__(cls)
+        m.field, m.nrows, m.ncols, m.rows, m.dens = field, len(rows), ncols, rows, dens
+        return m
 
     # -- basics -------------------------------------------------------
     def __getitem__(self, key):
         i, j = key
-        return self.rows[i].get(range(self.ncols)[j], self.field.zero)
+        v = self.rows[i].get(range(self.ncols)[j], 0)
+        return FpElement(v, self.field.p) if self.dens is None else Fraction(v, self.dens[i])
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
+        # a stored denominator need not be the least: compare the values
+        return (isinstance(other, Matrix) and self.field == other.field
+                and (self.nrows, self.ncols) == (other.nrows, other.ncols)
+                and all({j: v * e for j, v in a.items()} == {j: v * d for j, v in b.items()}
+                        for a, d, b, e in zip(self.rows, self.dens or repeat(1),
+                                              other.rows, other.dens or repeat(1))))
 
     def is_zero(self) -> bool:
         return not any(self.rows)
 
     def submatrix(self, row_idx, col_idx) -> "Matrix":
+        row_idx = list(row_idx)
         col_idx = list(col_idx)
         new = {}  # old column -> its new columns, repeats included
         for k, j in enumerate(col_idx):
             new.setdefault(range(self.ncols)[j], []).append(k)
-        rows = [{k: e for j, e in self.rows[i].items() for k in new.get(j, ())} for i in row_idx]
-        return Matrix(self.field, rows, ncols=len(col_idx))
+        rows = [{k: v for j, v in self.rows[i].items() for k in new.get(j, ())} for i in row_idx]
+        dens = None if self.dens is None else [self.dens[i] for i in row_idx]
+        return Matrix._valid(self.field, rows, len(col_idx), dens)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ShapeError("inner dimensions disagree")
-        z = self.field.zero
-        out = []
-        for row in self.rows:
+        p = _prime(self.field)
+        out, dens, scales = [], None if p else [], other.dens or [1] * other.nrows
+        for i, row in enumerate(self.rows):
+            # over Q a row's products are brought to the least common
+            # denominator of the rows of other that it takes
+            den = reduce(lcm, (scales[k] for k in row), 1)
             acc = {}
             for k, a in row.items():
+                a *= den // scales[k]
                 for j, b in other.rows[k].items():
-                    acc[j] = acc.get(j, z) + a * b
-            out.append({j: v for j, v in acc.items() if v})
-        return Matrix(self.field, out, ncols=other.ncols)
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append({j: r for j, v in acc.items() if (r := v % p if p else v)})
+            if not p:
+                dens.append(self.dens[i] * den)
+        return Matrix._valid(self.field, out, other.ncols, dens)
 
     # -- exact linear algebra ------------------------------------------
     def det(self):
         if self.nrows != self.ncols:
             raise ShapeError("determinant of a non-square matrix")
-        sel = _minor(self.field, self.rows)
+        sel = _minor(self)
         return self.field.zero if sel is None else sel.minor_value
 
     def rank(self, rows=None) -> int:
-        """The rank, by the free-pivot kernel.  Over Q it is taken mod P
-        first; a rank mod P short of min(nrows, ncols), or a denominator
-        divisible by P, is re-done exactly, by the same kernel over Z.
-
-        Given ``rows``, as many row indices as there are columns and fewer
-        than all rows, the kernel first runs on a copy of those rows alone,
-        mod p or mod P, and stops at the first row that cancels.  If every
-        row pivots, the columns are spanned and the rank is ncols: a full
-        rank mod P is the rank over Q, as above.  Otherwise, and for
-        ``rows`` of another length, the rank is that of the whole matrix,
-        as without them; a short count mod P on the chosen rows is never
-        re-done over Z.
+        """The rank, by the free-pivot kernel, over Q first mod P.  Given
+        ``rows``, as many row indices as there are columns and fewer than
+        all rows, the kernel first runs on those rows alone, mod p or mod
+        P, and stops at the first row that cancels; if every row pivots
+        the rank is ncols, and otherwise that of the whole matrix.
         """
-        prime = isinstance(self.field, PrimeField)
-        p = self.field.p if prime else _P
+        p = _prime(self.field)
         if rows is not None and len(rows) == self.ncols < self.nrows:
-            square = _residues(self.field, [self.rows[i] for i in rows])
-            if square is not None and len(_pivot(square, p, stop=True)[1]) == self.ncols:
+            picked = [self.rows[i] for i in rows]
+            square = _copy(picked)[0] if p else _mod_P(picked, [self.dens[i] for i in rows])
+            if square is not None and len(_pivot(square, p or _P, stop=True)[1]) == self.ncols:
                 return self.ncols
-        residues = _residues(self.field, self.rows)
-        if residues is not None:
-            rank = len(_pivot(residues, p)[1])
-            if prime or rank == min(self.nrows, self.ncols):
+        work = _copy(self.rows)[0] if p else _mod_P(self.rows, self.dens)
+        if work is not None:
+            rank = len(_pivot(work, p or _P)[1])
+            if p or rank == min(self.nrows, self.ncols):
                 return rank
-        return len(_pivot(_integral(self.rows)[0])[1])
+        return len(_pivot(_copy(self.rows)[0])[1])
 
     def solve(self, rhs: "Matrix"):
         """A particular solution X of self @ X = rhs, or None if inconsistent.
@@ -466,15 +435,21 @@ class Matrix:
         if rhs.nrows != self.nrows:
             raise ShapeError("right-hand side has the wrong number of rows")
         m, k = self.ncols, rhs.ncols
-        aug = [{**a, **{m + j: e for j, e in b.items()}} for a, b in zip(self.rows, rhs.rows)]
-        work, _, p = _exact(self.field, aug)
-        pivots = list(work)  # the kernel leaves each pivot row here as it was at its step
-        order, cols, last = _pivot(work, p, m)
+        p = _prime(self.field)
+        # fresh rows, which the kernel eliminates in place; over Q each row
+        # of [self | rhs] is brought to one denominator
+        aug = []
+        for a, b, da, db in zip(self.rows, rhs.rows, self.dens or repeat(1), rhs.dens or repeat(1)):
+            den = lcm(da, db)
+            aug.append({**{j: v * (den // da) for j, v in a.items()},
+                        **{m + j: v * (den // db) for j, v in b.items()}})
+        pivots = list(aug)  # the kernel leaves each pivot row here as it was at its step
+        order, cols, last = _pivot(aug, p, m)
         if any(c >= m for c in cols):
             return None
         # over Z, d * X is integral for d the last pivot (Cramer's rule on
         # the pivot rows), so the back-substitution divides exactly
-        d = 1 if p else last
+        d = 1 if p else abs(last)
         x = {}  # pivot column -> its dict row of X (times d over Z)
         for i, c in zip(reversed(order), reversed(cols)):
             row, acc = pivots[i], {}
@@ -489,14 +464,27 @@ class Matrix:
                 x[c] = {l: v for l, a in acc.items() if (v := a * inv % p)}
             else:
                 x[c] = {l: a // row[c] for l, a in acc.items() if a}
-        if p:
-            rows = [{l: FpElement(v, p) for l, v in x.get(c, {}).items()} for c in range(m)]
-        else:
-            rows = [{l: Fraction(v, d) for l, v in x.get(c, {}).items()} for c in range(m)]
-        return Matrix(self.field, rows, ncols=k)
+        rows = [x.get(c, {}) for c in range(m)]
+        return Matrix._valid(self.field, rows, k, None if p else [d] * m)
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field.name})"
+
+
+def _restricted(m: Matrix, rows) -> Matrix:
+    """The rows ``rows`` of m, sharing their dicts."""
+    dens = None if m.dens is None else [m.dens[i] for i in rows]
+    return Matrix._valid(m.field, [m.rows[i] for i in rows], m.ncols, dens)
+
+
+def _transposed(m: Matrix, cols) -> Matrix:
+    """The columns ``cols`` of m as rows, over Q each over the least common
+    multiple of m's row denominators."""
+    den = reduce(lcm, m.dens or (), 1)
+    rows = m.rows if den == 1 else [{j: v * (den // e) for j, v in row.items()}
+                                    for row, e in zip(m.rows, m.dens)]
+    transposed = [{i: row[j] for i, row in enumerate(rows) if j in row} for j in cols]
+    return Matrix._valid(m.field, transposed, m.nrows, None if m.dens is None else [den] * len(cols))
 
 
 @dataclass(frozen=True)
@@ -513,20 +501,16 @@ def select_nonzero_maximal_minor(m: Matrix, cols=None) -> MinorSelection:
 
     Given ``cols``, as many columns as ``m`` has rows and fewer than its
     columns, it is the minor on every row and those columns if that is
-    non-zero: the kernel runs once, on a copy of the rows restricted to
-    them.  Otherwise, and on a square matrix or a ``cols`` of another
-    length, it is every row and the pivot columns of the free-pivot kernel
-    on the whole matrix, a choice that is deterministic but not
-    lexicographic: it follows the sparsity of the matrix rather than the
-    order of its columns.  Each run stops at the first row that cancels;
-    on rows that are independent none does.  Raises NotFullRank, which
-    counts no rows, when the rows are dependent.
+    non-zero.  Otherwise it is every row and the pivot columns of the
+    free-pivot kernel on the whole matrix: deterministic, but following
+    the sparsity of the matrix rather than the order of its columns.
+    Raises NotFullRank, which counts no rows, when the rows are dependent.
     """
     if cols is not None and len(cols) == m.nrows < m.ncols:
-        sel = _minor(m.field, m.rows, set(cols))
+        sel = _minor(m, set(cols))
         if sel is not None:
             return sel
-    sel = _minor(m.field, m.rows)
+    sel = _minor(m)
     if sel is None:
         raise NotFullRank("no non-zero maximal minor: the rows are dependent")
     return sel

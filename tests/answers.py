@@ -18,8 +18,12 @@ system read by ``cli.load_system`` as the benchmark reads it.  Last it
 prints the stdout, stderr and exit code of ``basis-check`` on one (2,2)
 system over Q and over F_101 for each of a fixed list of ``--monomials``
 spellings, some accepted and some rejected, so that the monomial-list
-grammar, values and error messages are compared too.  A change that
-should move no answer must leave this text as it was:
+grammar, values and error messages are compared too, and the stdout and
+exit code of ``basis-check --oracle``, ``resultant``, ``subresultant`` and
+``mulmat`` on one (2,2,2) system with fractional coefficients and its set
+M0, over Q and over F_101, so that Koszul rows whose denominators are not
+1 are compared as well.  A change that should move no answer must leave
+this text as it was:
 
     python tests/answers.py base/src > base.txt
     python tests/answers.py src > head.txt
@@ -38,6 +42,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("q-dense", "fp-dense", "sparse-cli")
 IDENTITY_CALLS = ("factor", "mulmat", "vandermonde-verify")
 SYSTEM22 = "degrees: 2,2\nx1^2 - x2 - 1\nx2^2 + 3*x1*x2 - 2\n"
+# no coefficient denominator is divisible by 101
+SYSTEM222 = ("degrees: 2,2,2\nx1^2 - 1/2*x2 + 2/3*x3 - 1\n1/5*x2^2 + 3/4*x1*x3 - 2\n"
+             "2/7*x3^2 - x1*x2 + 5/3*x1 + 1/2\n")
+M0_222 = "1,x1,x2,x3,x1*x2,x1*x3,x2*x3,x1*x2*x3"
 # accepted, read directly or by the polynomial parser, then rejected; N
 # stands for a number one digit past the interpreter's int-string limit
 SPELLINGS = (
@@ -134,6 +142,19 @@ def main(argv=None) -> int:
                 argv = ["basis-check", "--field", field, "--system", path,
                         "--monomials", monomials.replace("N", long)]
                 sys.stdout.write(answer(cli, argv, stderr=True))
+        path = os.path.join(tmp, "system222.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(SYSTEM222)
+        for field in ("q", "fp:101"):
+            system = ["--field", field, "--system", path]
+            for command in (
+                ["basis-check", "--oracle", *system, "--monomials", M0_222],
+                ["resultant", *system],
+                ["subresultant", *system, "--monomials", M0_222],
+                ["mulmat", *system, "--monomials", M0_222, "--g", "x1 + 1/3*x2*x3"],
+            ):
+                print(f"# fractional (2,2,2) {field} {command[0]}")
+                sys.stdout.write(answer(cli, command))
     return 0
 
 

@@ -9,8 +9,8 @@ holds it (the row rule of structured Gaussian elimination, LaMacchia and
 Odlyzko 1990), which does not change the pivot columns; the minor carries
 the sign of the row permutation.  Over Z the update is Bareiss's, by lazy
 levels, as in the library's free-pivot kernel.  It shares no elimination
-code with the library, only the conversion of the rows to residues or
-integers and the sign of a permutation.
+code with the library, only the sign of a permutation, and reads a
+matrix entry by entry, as field elements, never its stored rows.
 
 ``sylvester_resultant`` is the reference for the resultant of two binary
 forms: the determinant of their Sylvester matrix, which no Koszul complex
@@ -23,10 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from monobasis import InputError, Matrix, MonomialSet, MultiPoly, NotFullRank, ShapeError
 from monobasis.fields import FpElement, PrimeField
-from monobasis.linalg import MinorSelection, _integral, _permutation_sign
+from monobasis.linalg import MinorSelection, _permutation_sign
 from monobasis.resultants import _check_binary
 
 
@@ -119,12 +120,19 @@ def eliminate(rows: list, ncols: int, p=None, scale: int = 1) -> Echelon:
 
 
 def echelon(m) -> Echelon:
-    """Forward elimination of a copy of the rows of the Matrix m."""
+    """Forward elimination of the Matrix m, read entry by entry through
+    m[i, j]: residues mod p, or over Q each row cleared to integers by the
+    least common denominator of its entries."""
+    entries = [[m[i, j] for j in range(m.ncols)] for i in range(m.nrows)]
     if isinstance(m.field, PrimeField):
-        rows = [{j: e.val for j, e in row.items()} for row in m.rows]
+        rows = [{j: e.val for j, e in enumerate(r) if e} for r in entries]
         return eliminate(rows, m.ncols, m.field.p)
-    work, scale = _integral(m.rows)
-    return eliminate(work, m.ncols, None, scale)
+    rows, scale = [], 1
+    for r in entries:
+        den = lcm(*(e.denominator for e in r))
+        scale *= den
+        rows.append({j: e.numerator * (den // e.denominator) for j, e in enumerate(r) if e})
+    return eliminate(rows, m.ncols, None, scale)
 
 
 def lexicographic_minor(m) -> MinorSelection:

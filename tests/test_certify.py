@@ -32,7 +32,8 @@ from monobasis import (
 from monobasis import linalg
 from monobasis.certify import _macaulay_rows
 from monobasis.cli import parse_poly
-from monobasis.koszul import koszul_term
+from monobasis.detcomplex import decompose_ascending, decompose_descending
+from monobasis.koszul import build_complex, koszul_term
 from monobasis.linalg import _P
 from monobasis.resultants import macaulay_matrix
 
@@ -590,3 +591,40 @@ def test_certificate_agrees_with_the_oracle_on_every_small_question(
     counts = sweep((2, 2), 10, field, coefficients, modulus)
     assert counts.disagreements == []
     assert (counts.questions, counts.res_zero, counts.bases) == (2100, res_zero, bases)
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=["Q", "F101"])
+def test_scaled_equations_scale_res_and_keep_every_verdict(field):
+    """Res is homogeneous of degree d_1*...*d_n / d_i in the coefficients
+    of f_i, and c_i f_i generate the same ideal as f_i: so with each c_i in
+    {1/2, 2/3, 5/7}, Res moves by prod c_i^(bezout / d_i), and M0, M0
+    lifted and a non-basis of monomials below degree rho keep their
+    verdicts, by the certificate and by the rank oracle.  Over Q the
+    scaled systems' Koszul rows have denominators other than 1, and their
+    ascending and descending decompositions agree up to sign."""
+    rng = random.Random(f"scaled-{field.name}")
+    for seed, degrees in enumerate(((2, 2, 2), (3, 2, 2)), start=1):
+        n, rho, bezout = len(degrees), sum(degrees) - len(degrees), math.prod(degrees)
+        sys_ = seeded_system(seed, degrees, field, range(-5, 6))
+        cs = [field.of(rng.choice((Fraction(1, 2), Fraction(2, 3), Fraction(5, 7))))
+              for _ in degrees]
+        scaled = PolySystem([c * f for c, f in zip(cs, sys_.polys)], degrees)
+        factor = field.one
+        for c, d in zip(cs, degrees):
+            factor = factor * c ** (bezout // d)
+        low = [m for e in range(rho) for m in monomials_of_degree(n, e)]
+        verdicts = []
+        for M in (m0_set(degrees), lifted_m0(degrees), MonomialSet(low[:bezout])):
+            cert, moved = certify_basis(sys_, M), certify_basis(scaled, M)
+            assert cert.res_value and moved.res_value == factor * cert.res_value
+            assert moved.verdict == cert.verdict
+            assert rank_oracle(scaled, M) == rank_oracle(sys_, M) == cert.is_basis
+            verdicts.append(cert.verdict)
+        assert verdicts == ["basis", "basis", "not-basis"]
+        if field is QQ:
+            hom, M = scaled.homogenized(), m0_set(degrees)
+            cx = build_complex(hom, M.delta, M.homogenized_at(M.delta))
+            assert any(d != 1 for diff in cx.differentials for d in diff.dens)
+            # the ascending decomposition transposes those rows
+            delta = decompose_descending(cx).delta
+            assert decompose_ascending(cx).delta in (delta, -delta)

@@ -385,8 +385,8 @@ def spy_on_given_columns(monkeypatch):
     """Whether each minor on given columns was non-zero, in call order."""
     taken, minor = [], linalg._minor
 
-    def spy(field, rows, keep=None):
-        out = minor(field, rows, keep)
+    def spy(m, keep=None):
+        out = minor(m, keep)
         if keep is not None:
             taken.append(out is not None)
         return out

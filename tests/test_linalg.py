@@ -22,7 +22,7 @@ from monobasis import linalg
 from monobasis.fields import is_prime
 from monobasis.detcomplex import decompose_descending
 from monobasis.koszul import build_complex, koszul_term
-from monobasis.linalg import _GATE, _P, _integral, _permutation_sign, _pivot
+from monobasis.linalg import _GATE, _P, _copy, _permutation_sign, _pivot
 from monobasis.resultants import macaulay_matrix
 
 from conftest import identity_matrix, random_system
@@ -534,11 +534,11 @@ def test_list_rows_and_dict_rows_make_the_same_matrix(field):
         assert m == Matrix(field, sparse, ncols=ncols)
         assert m.rows == sparse and dense(m) == rows
         assert m.is_zero() == (not any(map(any, rows)))
-        # dict rows are stored as given, not copied
-        assert all(a is b for a, b in zip(Matrix(field, sparse, ncols=ncols).rows, sparse))
+        # rows of field elements are stored converted, as plain ints
+        assert all(type(v) is int for r in Matrix(field, sparse, ncols=ncols).rows for v in r.values())
     row = {1: field.one}
     m = Matrix(field, [row, [field.zero, field.one, field.zero]], ncols=3)
-    assert m.rows[0] is row and m.rows[1] == {1: field.one}
+    assert m.rows[0] == row and m.rows[1] == {1: field.one}
     with pytest.raises(ShapeError):
         Matrix(field, [row, [field.one] * 2], ncols=3)
     m = Matrix(field, [{1: field.one}], ncols=3)
@@ -681,7 +681,7 @@ def test_free_pivot_rank_matches_the_left_to_right_kernel_mod_p(field):
         rank = m.rank()
         assert rank == left_to_right_rank(m)
         short += rank < min(nrows, ncols)
-        logged = [LoggedRow({j: e.val for j, e in r.items()}, refilled) for r in m.rows]
+        logged = [LoggedRow(r, refilled) for r in m.rows]
         assert len(_pivot(logged, field.p)[1]) == rank
     assert shapes == {-1, 0, 1} and 20 <= short <= 35
     if field is F3:
@@ -772,8 +772,8 @@ def kernel_steps(m):
     """The free-pivot kernel's pivot rows and columns, in step order, on a
     copy of m (over Z for Q)."""
     if m.field is QQ:
-        return _pivot(_integral(m.rows)[0])[:2]
-    return _pivot([{j: e.val for j, e in r.items()} for r in m.rows], m.field.p)[:2]
+        return _pivot(_copy(m.rows)[0])[:2]
+    return _pivot(_copy(m.rows)[0], m.field.p)[:2]
 
 
 def unstopped_selection(m):
@@ -781,9 +781,9 @@ def unstopped_selection(m):
     its pivot columns, sorted, and the minor on them, signed by the row
     and the column permutation of its steps; None unless every row pivots."""
     if m.field is QQ:
-        (work, scale), p = _integral(m.rows), None
+        (work, scale), p = _copy(m.rows, m.dens), None
     else:
-        work, scale, p = [{j: e.val for j, e in r.items()} for r in m.rows], 1, m.field.p
+        work, scale, p = _copy(m.rows)[0], 1, m.field.p
     order, cols, minor = _pivot(work, p)
     if len(order) < m.nrows:
         return None
@@ -1177,3 +1177,108 @@ def test_rank_on_given_rows_over_q_where_p_divides_an_entry(monkeypatch):
         assert over_q.rank(chosen) == rank
         assert calls == kernel_calls
         assert over_q.rank() == rank == cofactor_rank(entries, over_q.nrows, over_q.ncols, QQ)
+
+
+# ---------------------------------------------------------------------------
+# the stored form: rows of kernel-ready ints, one denominator per row over
+# Q, against references that read the entries through m[i, j] alone
+
+
+def stored_entries(field, rng, nrows, ncols):
+    """Dense rows of field elements, about half of them zero, one matrix in
+    four with a row that is a combination of two others.  Over Q the
+    entries have denominators 1..6, and in one matrix in three one entry
+    has a multiple of _P."""
+    if field is QQ:
+        def entry():
+            return Fraction(rng.randrange(-4, 5), rng.randrange(1, 7))
+    else:
+        def entry():
+            return field.of(rng.randrange(field.p))
+    rows = [[entry() if rng.random() < 0.6 else field.zero for _ in range(ncols)]
+            for _ in range(nrows)]
+    if nrows >= 3 and rng.random() < 0.25:
+        a, b, c = rng.sample(range(nrows), 3)
+        two = field.of(2)
+        rows[c] = [x + two * y for x, y in zip(rows[a], rows[b])]
+    if field is QQ and rng.random() < 1 / 3:
+        rows[rng.randrange(nrows)][rng.randrange(ncols)] = Fraction(rng.choice((1, -2, 3)),
+                                                                    _P * rng.randrange(1, 3))
+    return rows
+
+
+@pytest.mark.parametrize("field", [F3, F101, FP, QQ], ids=["F3", "F101", "FP", "Q"])
+def test_the_stored_form_keeps_every_value(field):
+    """A matrix holds residues, or over Q integers and a denominator per
+    row; read back, multiplied, compared, eliminated and solved, it must
+    give what the cofactor oracle and the lexicographic reference give on
+    its entries."""
+    rng = random.Random(f"stored-{field.name}")
+    zero, one = field.zero, field.one
+    seen = {"singular": 0, "wide": 0, "tall": 0, "inconsistent": 0, "multiple of P": 0}
+    for _ in range(120):
+        nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 6)
+        rows = stored_entries(field, rng, nrows, ncols)
+        m = Matrix(field, rows, ncols)
+        assert dense(m) == rows
+        assert all(type(v) is int for r in m.rows for v in r.values())
+        if field is QQ:
+            assert all(type(d) is int and d > 0 for d in m.dens)
+            seen["multiple of P"] += any(d % _P == 0 for d in m.dens)
+            # a stored denominator need not be the least one
+            k = rng.randrange(2, 9)
+            larger = Matrix._valid(QQ, [{j: v * k for j, v in r.items()} for r in m.rows], ncols,
+                                   [d * k for d in m.dens])
+            assert larger == m and dense(larger) == rows
+        else:
+            assert all(0 < v < field.p for r in m.rows for v in r.values())
+        other = stored_entries(field, rng, nrows, ncols)
+        assert (m == Matrix(field, other, ncols)) == (other == rows)
+
+        right = stored_entries(field, rng, ncols, rng.randrange(1, 4))
+        assert dense(m @ Matrix(field, right)) == dense_product(rows, right, zero)
+
+        rank = cofactor_rank(rows, nrows, ncols, field)
+        assert m.rank() == rank
+        if nrows > ncols:
+            seen["tall"] += 1
+            assert m.rank(rng.sample(range(nrows), ncols)) == rank
+        if nrows == ncols:
+            assert m.det() == cofactor_det(rows, zero, one)
+
+        if rank < nrows:
+            seen["singular"] += 1
+            for select in (select_nonzero_maximal_minor, lexicographic_minor):
+                with pytest.raises(NotFullRank):
+                    select(m)
+        else:
+            want = lexicographic_minor(m)
+            sel = select_nonzero_maximal_minor(m)
+            minor = cofactor_det([[r[j] for j in sel.col_indices] for r in rows], zero, one)
+            assert sel.minor_value == minor != zero
+            assert want.minor_value == cofactor_det(
+                [[r[j] for j in want.col_indices] for r in rows], zero, one) != zero
+            if nrows < ncols:
+                seen["wide"] += 1
+                cols = sorted(rng.sample(range(ncols), nrows))
+                given = cofactor_det([[r[j] for j in cols] for r in rows], zero, one)
+                sel = select_nonzero_maximal_minor(m, cols)
+                if given:
+                    assert sel == MinorSelection(tuple(cols), given)
+                else:
+                    assert sel.minor_value == minor
+
+        x0 = stored_entries(field, rng, ncols, 2)
+        b = m @ Matrix(field, x0)
+        x = m.solve(b)
+        assert x is not None and m @ x == b
+        rhs = stored_entries(field, rng, nrows, 1)
+        joined = [r + s for r, s in zip(rows, rhs)]
+        x = m.solve(Matrix(field, rhs))
+        if cofactor_rank(joined, nrows, ncols + 1, field) > rank:
+            seen["inconsistent"] += 1
+            assert x is None
+        else:
+            assert dense(m @ x) == rhs
+    assert min(seen["singular"], seen["wide"], seen["tall"], seen["inconsistent"]) >= 10, seen
+    assert seen["multiple of P"] >= (20 if field is QQ else 0), seen
