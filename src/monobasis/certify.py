@@ -115,8 +115,8 @@ def _macaulay_rows(nvars: int, degrees: tuple, t: int) -> tuple:
 
 def _onto(sys: PolySystem, t: int, S=()) -> bool:
     """Whether the Macaulay map of ``sys`` is onto the degree-t monomials
-    outside S: ranked on Macaulay's rows first, on every row if they fall
-    short."""
+    outside S: ranked on Macaulay's rows, and if they fall short, the
+    other rows on their kernel."""
     target = koszul_term(sys, t, 0, S)
     rows = _macaulay_rows(sys.nvars, sys.degrees, t)
     return macaulay_matrix(sys, target).rank(rows) == len(target)
@@ -144,9 +144,11 @@ def rank_oracle(sys: PolySystem, M: MonomialSet) -> bool:
     outside M_t, #M_t = d_1*...*d_n of them, for any M.  On the pure powers
     their square matrix is a permutation matrix, so for generic systems
     with a basis like M0 it has full rank; for a non-basis it is singular.
-    Full rank on any subset of the rows proves the map onto, so the row
-    choice only saves work: when the square count falls short, mod p or
-    mod 2**30 - 35 over Q, every row is ranked as ``Matrix.rank`` ranks it.
+    The row choice only saves work: ``Matrix.rank`` eliminates the square
+    matrix on these rows, over Q first mod 2**30 - 35, and a full rank
+    there proves the map onto.  When it falls short, over Z on Q, the
+    rank adds that of the other rows times a basis of the square matrix's
+    kernel, so the whole tall matrix is never eliminated.
     """
     profile = _check_question(sys, M)
     if not _onto(sys.leading_forms(), profile.rho + 1):

@@ -29,20 +29,27 @@ the column order on Macaulay and Koszul matrices, but it is blind where
 every row of one f_i has the same length, and the second finds the cheap
 steps there.  A step searches for the second only when the first would
 update more than _GATE entries; ``solve`` and matrices with more rows
-than columns, such as the rank oracle's, keep the first alone.  So a
-chosen maximal minor (``select_nonzero_maximal_minor``) follows the
-sparsity of the matrix, not the order of its columns, and is signed by
-the row and the column permutation of its steps; the determinant of an
-exact complex does not depend on which minors its stages take.
+than the columns they hold keep the first alone.  So a chosen maximal
+minor (``select_nonzero_maximal_minor``) follows the sparsity of the
+matrix, not the order of its columns, and is signed by the row and the
+column permutation of its steps; the determinant of an exact complex
+does not depend on which minors its stages take.
 
 Given a square choice of columns, as the descending decomposition gives
 each wide Koszul stage, the selector first runs the kernel on the rows
 restricted to them, and on the whole matrix only when that minor
-vanishes.  Given a square choice of rows, as the rank oracle gives each
-tall Macaulay matrix, the rank first ranks those rows: a full rank on
-them is the full column rank.  Every selection, determinant and square
-rank attempt stops at the first row that cancels, which alone proves the
-rows dependent, so a singular stage costs only the pivots up to it.
+vanishes.  Every selection and determinant stops at the first row that
+cancels, which alone proves the rows dependent, so a singular stage
+costs only the pivots up to it.
+
+Given a square choice of rows G_R, as the rank oracle gives each tall
+Macaulay matrix G, the rank is r0 + rank(G' K): r0 the rank of G_R, K a
+basis of its kernel, one vector per column that is not a pivot column,
+and G' the other rows.  The kernel of G is that of G_R cut by that of
+G', {K c : G' K c = 0}, so the rule holds over any field and with
+repeated rows.  The kernel eliminates G_R in full, its pivot rows are
+back-substituted for K as ``solve`` back-substitutes them, and the
+kernel ranks the small product G' K: the whole of G is never eliminated.
 
 A rank over Q is first taken mod the prime P = 2**30 - 35, the largest
 below 2**30, so that a residue is one CPython digit.  Where P divides no
@@ -50,13 +57,17 @@ denominator, the integer rows mod P are the rational rows mod P times
 units, and the rank of an integer matrix mod P is at most its rank over
 Q, itself at most min(nrows, ncols): so a full rank mod P is the rank
 over Q.  Any other count, and a denominator divisible by P, is re-done
-over Z; a square choice of rows is only tried mod P.
+over Z.  Given a square choice of rows, only those rows are ranked mod
+P, stopping at the first row that cancels; short of full, the rule
+above runs over Z on the stored integer rows, K scaled by the last pivot
+of G_R so that every division is exact.
 
 ``solve`` runs the kernel on the rows of [A | B], over Q each brought to
 one denominator.  A pivot row takes a column of B only when it holds no
 column of A, and then it reads 0 = b with b non-zero: the system is
 inconsistent.  Otherwise the pivot rows, triangular in step order, are
-back-substituted with the free variables, the other columns of A, zero.
+back-substituted with the free variables, the other columns of A, zero
+(``_back_substitute``, which also gives the rank rule its K).
 """
 from __future__ import annotations
 
@@ -312,6 +323,49 @@ def _minor(m, keep=None) -> MinorSelection | None:
     return MinorSelection(tuple(sorted(cols)), value)
 
 
+def _back_substitute(pivots, order, cols, x, p) -> None:
+    """Back-substitutes the pivot rows of a ``_pivot`` run, triangular in
+    step order: ``x`` maps the other columns the rows hold to dict vectors
+    (a column it lacks reads zero), and gains, for each pivot column c,
+    the vector x[c] that makes each pivot row times x zero.  Over Z each
+    division is exact when the given vectors are multiples of the last
+    pivot (Cramer's rule on the pivot rows)."""
+    for i, c in zip(reversed(order), reversed(cols)):
+        row, acc = pivots[i], {}
+        for j, f in row.items():
+            for l, y in x.get(j, {}).items():
+                acc[l] = acc.get(l, 0) - f * y
+        if p:
+            inv = pow(row[c], -1, p)
+            x[c] = {l: v for l, a in acc.items() if (v := a * inv % p)}
+        else:
+            x[c] = {l: a // row[c] for l, a in acc.items() if a}
+
+
+def _rank_on(picked, other, ncols, p) -> int:
+    """The rank of the dict rows ``picked`` and ``other`` together, mod p or
+    over Z, by the rule r0 + rank(G' K) of the module docstring: r0 and K
+    from ``picked``, G' the rows ``other``.  Over Z, K is scaled by the
+    last pivot."""
+    work = _copy(picked)[0]
+    pivots = list(work)  # the kernel leaves each pivot row here as it was at its step
+    order, cols, last = _pivot(work, p)
+    if len(cols) == ncols:
+        return ncols
+    d = 1 if p else abs(last)
+    pivotal = set(cols)
+    x = {f: {f: d} for f in range(ncols) if f not in pivotal}
+    _back_substitute(pivots, order, cols, x, p)
+    product = []
+    for row in other:
+        acc = {}
+        for j, v in row.items():
+            for l, y in x[j].items():
+                acc[l] = acc.get(l, 0) + v * y
+        product.append({l: r for l, a in acc.items() if (r := a % p if p else a)})
+    return len(cols) + len(_pivot(product, p)[1])
+
+
 class Matrix:
     """Immutable sparse matrix in the kernel's form: ``rows[i]`` is a dict
     {column: int} of the non-zero entries of row i, residues in [1, p)
@@ -408,22 +462,27 @@ class Matrix:
     def rank(self, rows=None) -> int:
         """The rank, by the free-pivot kernel, over Q first mod P.  Given
         ``rows``, as many row indices as there are columns and fewer than
-        all rows, the kernel first runs on those rows alone, mod p or mod
-        P, and stops at the first row that cancels; if every row pivots
-        the rank is ncols, and otherwise that of the whole matrix.
+        all rows, it is r0 + rank(G' K): r0 the rank of those rows, K a
+        basis of their kernel and G' the other rows (``_rank_on``).  Over
+        Q those rows are first ranked mod P, stopping at the first row
+        that cancels: if every row pivots the rank is ncols, and otherwise
+        the rule runs over Z.
         """
         p = _prime(self.field)
-        if rows is not None and len(rows) == self.ncols < self.nrows:
-            picked = [self.rows[i] for i in rows]
-            square = _copy(picked)[0] if p else _mod_P(picked, [self.dens[i] for i in rows])
-            if square is not None and len(_pivot(square, p or _P, stop=True)[1]) == self.ncols:
+        if rows is None or not len(rows) == self.ncols < self.nrows:
+            work = _copy(self.rows)[0] if p else _mod_P(self.rows, self.dens)
+            if work is not None:
+                rank = len(_pivot(work, p or _P)[1])
+                if p or rank == min(self.nrows, self.ncols):
+                    return rank
+            return len(_pivot(_copy(self.rows)[0])[1])
+        picked, chosen = [self.rows[i] for i in rows], set(rows)
+        other = [row for i, row in enumerate(self.rows) if i not in chosen]
+        if not p:
+            square = _mod_P(picked, [self.dens[i] for i in rows])
+            if square is not None and len(_pivot(square, _P, stop=True)[1]) == self.ncols:
                 return self.ncols
-        work = _copy(self.rows)[0] if p else _mod_P(self.rows, self.dens)
-        if work is not None:
-            rank = len(_pivot(work, p or _P)[1])
-            if p or rank == min(self.nrows, self.ncols):
-                return rank
-        return len(_pivot(_copy(self.rows)[0])[1])
+        return _rank_on(picked, other, self.ncols, p)
 
     def solve(self, rhs: "Matrix"):
         """A particular solution X of self @ X = rhs, or None if inconsistent.
@@ -448,22 +507,11 @@ class Matrix:
         if any(c >= m for c in cols):
             return None
         # over Z, d * X is integral for d the last pivot (Cramer's rule on
-        # the pivot rows), so the back-substitution divides exactly
+        # the pivot rows), so the back-substitution divides exactly; the
+        # columns of rhs read -d, so that [self | rhs] takes [X; -I] to 0
         d = 1 if p else abs(last)
-        x = {}  # pivot column -> its dict row of X (times d over Z)
-        for i, c in zip(reversed(order), reversed(cols)):
-            row, acc = pivots[i], {}
-            for j, f in row.items():
-                if j >= m:
-                    acc[j - m] = acc.get(j - m, 0) + d * f
-                else:
-                    for l, y in x.get(j, {}).items():
-                        acc[l] = acc.get(l, 0) - f * y
-            if p:
-                inv = pow(row[c], -1, p)
-                x[c] = {l: v for l, a in acc.items() if (v := a * inv % p)}
-            else:
-                x[c] = {l: a // row[c] for l, a in acc.items() if a}
+        x = {m + l: {l: -d} for l in range(k)}
+        _back_substitute(pivots, order, cols, x, p)
         rows = [x.get(c, {}) for c in range(m)]
         return Matrix._valid(self.field, rows, k, None if p else [d] * m)
 

@@ -13,9 +13,18 @@ system with its coefficients reduced, and Res and Delta there must be the
 Q values reduced: the two fields run the elimination kernel's two
 arithmetics against each other.
 
+Given ``draws``, each system is asked that many sets instead of every
+one, drawn from one ``random.Random(0)`` per sweep, so that two sweeps of
+the same degrees ask the same sets.
+
 The tier-1 suite runs the (2,2) sweeps over F_3, F_5 and Q, the last one
-also over F_101; the larger (2,3) sweeps over F_3 and over Q, 50,050
-questions each, run as a script that exits 1 on any disagreement::
+also over F_101.  The script runs the larger sweeps: the (2,3) sweeps over
+F_3 and over Q, 50,050 questions each, and 10,000 drawn (3,3,2) questions
+over F_3 and over Q, the Q ones certified once more over F_101.  (3,3,2)
+is the smallest profile where the kernel's second pivot rule (past _GATE)
+and the rank oracle's rule on the kernel of Macaulay's rows both run on
+non-bases.  It exits 1 on any disagreement or on counts other than the
+pinned ones::
 
     PYTHONPATH=src python tests/sweep.py
 """
@@ -58,16 +67,22 @@ def seeded_system(seed: int, degrees, field, coefficients) -> PolySystem:
     return PolySystem(polys, tuple(degrees))
 
 
-def sweep(degrees, nsystems: int, field, coefficients, modulus=None) -> SweepCounts:
+def sweep(degrees, nsystems: int, field, coefficients, modulus=None, draws=None) -> SweepCounts:
     profile = DegreeProfile(degrees)
     pool = [m for e in range(profile.rho + 2) for m in monomials_of_degree(profile.n, e)]
     counts = SweepCounts()
     fp = GF(modulus) if modulus else None
+    rng = random.Random(0)
     for seed in range(nsystems):
         sys_ = seeded_system(seed, degrees, field, coefficients)
         # the same draws, so the same system with its coefficients reduced
         reduced = seeded_system(seed, degrees, fp, coefficients) if fp else None
-        for chosen in itertools.combinations(pool, profile.bezout):
+        if draws is None:
+            sets = itertools.combinations(pool, profile.bezout)
+        else:
+            sets = [tuple(pool[i] for i in sorted(rng.sample(range(len(pool)), profile.bezout)))
+                    for _ in range(draws)]
+        for chosen in sets:
             M = MonomialSet(chosen)
             cert = certify_basis(sys_, M)
             counts.questions += 1
@@ -84,8 +99,20 @@ def sweep(degrees, nsystems: int, field, coefficients, modulus=None) -> SweepCou
     return counts
 
 
+# (questions, res_zero, bases) of each sweep the script runs
+PINNED = [
+    (((2, 3), 10, GF(3), range(3)), (50050, 10010, 16808)),
+    (((2, 3), 10, QQ, range(-1, 2)), (50050, 20020, 16696)),
+    (((3, 3, 2), 10, GF(3), range(3), None, 1000), (10000, 6000, 1536)),
+    (((3, 3, 2), 10, QQ, range(-1, 2), 101, 1000), (10000, 2000, 7960)),
+]
+
+
 if __name__ == "__main__":
-    results = [sweep((2, 3), 10, GF(3), range(3)), sweep((2, 3), 10, QQ, range(-1, 2))]
-    for result in results:
+    failed = False
+    for args, pinned in PINNED:
+        result = sweep(*args)
         print(result)
-    sys.exit(1 if any(result.disagreements for result in results) else 0)
+        counts = (result.questions, result.res_zero, result.bases)
+        failed |= bool(result.disagreements) or counts != pinned
+    sys.exit(1 if failed else 0)

@@ -458,19 +458,53 @@ def whole_matrix_oracle(sys_, M):
     return all(macaulay_matrix(s, target).rank() == len(target) for s, target in tests)
 
 
-def spy_on_square_attempts(monkeypatch):
-    """For each kernel call that stops at the first cancelled row, the rank
-    attempts on Macaulay's rows among them: whether every row pivoted."""
-    proved, pivot = [], linalg._pivot
+def spy_on_given_rows(monkeypatch):
+    """For each rank on given rows, the matrix's shape and its kernel
+    calls, each as (modulus, stops at the first cancelled row, row count,
+    pivot count); a rank of every row records no shape."""
+    ranks, rank, pivot = [], linalg.Matrix.rank, linalg._pivot
+
+    def spy_rank(m, rows=None):
+        ranks.append((m.nrows, m.ncols, []) if rows is not None else None)
+        return rank(m, rows)
 
     def spy(rows, p=None, m=None, stop=False):
         out = pivot(rows, p, m, stop)
-        if stop:
-            proved.append(len(out[0]) == len(rows))
+        if ranks[-1] is not None:
+            ranks[-1][2].append((p, stop, len(rows), len(out[1])))
         return out
 
+    monkeypatch.setattr(linalg.Matrix, "rank", spy_rank)
     monkeypatch.setattr(linalg, "_pivot", spy)
-    return proved
+    return ranks
+
+
+def proved_on_macaulay_rows(field, nrows, ncols, calls) -> bool:
+    """Checks one rank on Macaulay's rows: they are eliminated alone, over
+    Q first mod _P stopping at the first cancelled row; if they fall
+    short, over Z on Q, the kernel ranks the other rows times their
+    kernel, and never every row.  Whether those rows alone proved the
+    rank full, None for a square matrix, which is ranked whole."""
+    prime = None if field is QQ else field.p
+    if nrows == ncols:
+        # over Q mod _P and, if short, over Z
+        whole = [(prime or _P, False, nrows)]
+        if prime is None and calls[0][3] < nrows:
+            whole.append((None, False, nrows))
+        assert [c[:3] for c in calls] == whole, calls
+        return None
+    if field is QQ:
+        assert calls[0][:3] == (_P, True, ncols), calls
+        if calls[0][3] == ncols:
+            assert len(calls) == 1, calls
+            return True
+        calls = calls[1:]
+    assert calls[0][:3] == (prime, False, ncols), calls
+    if calls[0][3] == ncols:
+        assert len(calls) == 1, calls
+        return True
+    assert [c[:3] for c in calls[1:]] == [(prime, False, nrows - ncols)], calls
+    return False
 
 
 @pytest.mark.parametrize("field", [GF(3), F101, QQ], ids=["F3", "F101", "Q"])
@@ -479,11 +513,10 @@ def test_rank_oracle_equals_its_tests_on_every_row(field, monkeypatch):
     sparse and non-monic sparse systems with M0, M0 lifted, a non-basis of
     monomials below degree rho (there they span a space of dimension
     d_1*...*d_n - 1 when Res != 0) and random sets, the ROADMAP system
-    and the system with a coefficient _P.  Both outcomes of the square
-    attempt occur: a proof on Macaulay's rows, and a fallback to every
-    row."""
+    and the system with a coefficient _P.  Both outcomes occur: a proof on
+    Macaulay's rows, and the other rows ranked times their kernel."""
     rng = random.Random(f"oracle-rows-{field.name}")
-    proved = spy_on_square_attempts(monkeypatch)
+    ranks = spy_on_given_rows(monkeypatch)
     coefficients = range(-5, 6) if field is QQ else range(field.p)
     questions = []
     for seed, degrees in enumerate(((2, 2), (3, 2), (2, 2, 2), (3, 2, 2))):
@@ -509,6 +542,7 @@ def test_rank_oracle_equals_its_tests_on_every_row(field, monkeypatch):
         assert answer == whole_matrix_oracle(sys_, M)
         verdicts.add(answer)
     assert verdicts == {True, False}
+    proved = [proved_on_macaulay_rows(field, *shape) for shape in ranks if shape is not None]
     assert proved.count(True) >= 50 and proved.count(False) >= 20, proved
 
 
@@ -525,6 +559,33 @@ def test_rank_oracle_ranks_square_matrices_only_on_a_dense_system(monkeypatch):
     degrees = (2, 2, 2, 2)
     assert rank_oracle(seeded_system(1, degrees, F101, range(-5, 6)), m0_set(degrees))
     assert len(shapes) == 2 and all(r == c for r, c in shapes), shapes
+
+
+def test_rank_oracle_never_ranks_a_tall_matrix_whole_on_a_dense_non_basis(monkeypatch):
+    """For a dense (2,2,2,2) system over F_101 and the first 16 monomials
+    below degree rho, a non-basis, Macaulay's rows prove the first test and
+    are singular in the second: the kernel sees two square matrices, then
+    the other rows of the second matrix on the kernel of its square one,
+    and never a whole tall matrix."""
+    degrees = (2, 2, 2, 2)
+    sys_ = seeded_system(1, degrees, F101, range(-5, 6))
+    low = [m for e in range(4) for m in monomials_of_degree(4, e)]
+    M = MonomialSet(low[:16])
+    hom, t = sys_.homogenized(), max(M.delta, 4)
+    tall = macaulay_matrix(hom, koszul_term(hom, t, 0, M.homogenized_at(t)))
+    shapes, pivot = [], linalg._pivot
+
+    def spy(rows, p=None, m=None, stop=False):
+        shape = len(rows), len(set().union(*rows))
+        out = pivot(rows, p, m, stop)
+        shapes.append((*shape, len(out[1])))
+        return out
+
+    monkeypatch.setattr(linalg, "_pivot", spy)
+    assert not rank_oracle(sys_, M)
+    (a, b, _), (c, d, r0), (e, f, r) = shapes
+    assert a == b and c == d == tall.ncols and r0 < tall.ncols, shapes
+    assert e == tall.nrows - tall.ncols and f <= tall.ncols - r0 and r0 + r < tall.ncols, shapes
 
 
 def test_huge_exponent_is_an_input_error_not_an_enumeration():

@@ -1097,31 +1097,35 @@ def test_every_minor_run_stops_at_its_first_cancelled_row(field, monkeypatch):
 # the rank on given rows
 
 
-def spy_on_stops(monkeypatch):
-    """For each call to the kernel, whether it stops at the first cancelled
-    row and, if so, whether every row pivoted: None for a call that runs
-    to the end."""
-    calls = []
+def spy_on_calls(monkeypatch):
+    """For each call to the kernel: its modulus (None over Z), whether it
+    stops at the first cancelled row, its row count, the columns its rows
+    hold and its pivot columns."""
+    runs = []
 
     def spy(rows, p=None, m=None, stop=False):
+        held = set().union(*rows)
         out = _pivot(rows, p, m, stop)
-        calls.append(len(out[0]) == len(rows) if stop else None)
+        runs.append((p, stop, len(rows), held, set(out[1])))
         return out
 
     monkeypatch.setattr(linalg, "_pivot", spy)
-    return calls
+    return runs
 
 
 @pytest.mark.parametrize("field", [F3, F101, FP, QQ], ids=["F3", "F101", "FP", "Q"])
 def test_rank_on_given_rows_is_the_rank(field, monkeypatch):
     """``rank(rows)`` is ``rank()`` whatever rows are given.  As many rows
-    as columns, and fewer than all, are ranked alone first, by one kernel
-    call that stops at the first cancelled row; when every row pivots that
-    is the answer, and otherwise the whole matrix is ranked as without
-    them, as after repeated rows.  A row count of another length and a
-    square matrix change nothing: the whole matrix is ranked at once."""
+    as columns, and fewer than all, are eliminated alone, mod p in full
+    and over Q first mod _P, stopping at the first cancelled row, which
+    proves a full count.  When they fall short, over Z on Q, the kernel
+    then ranks the other rows times a kernel basis of the chosen ones, on
+    the chosen rows' non-pivot columns, and never the whole matrix, as
+    after repeated rows.  A row count of another length and a square
+    matrix change nothing: the whole matrix is ranked at once."""
     rng = random.Random(f"given-rows-{field.name}")
-    calls = spy_on_stops(monkeypatch)
+    runs = spy_on_calls(monkeypatch)
+    prime = None if field is QQ else field.p
     proved = singular = ignored = 0
     for _ in range(150):
         ncols = rng.randrange(1, 6)
@@ -1136,39 +1140,55 @@ def test_rank_on_given_rows_is_the_rank(field, monkeypatch):
                 rows = rng.sample(range(nrows), size)
             else:  # repeats, so that the chosen rows of a square matrix are not its own
                 rows = rng.choices(range(nrows), k=size)
-            calls.clear()
+            runs.clear()
             assert m.rank(rows) == rank
-            if size == ncols < nrows:
-                if calls[0]:
-                    assert calls == [True] and rank == ncols
-                    proved += 1
-                else:
-                    # then the whole matrix, over Q mod _P and, if short, over Z
-                    assert calls[0] is False and calls[1:] in ([None], [None, None])
-                    singular += 1
-            else:
-                assert calls in ([None], [None, None])
+            shapes = [(p, stop, n) for p, stop, n, _, _ in runs]
+            if not size == ncols < nrows:
+                # over Q mod _P and, if short, over Z
+                assert shapes in ([(prime or _P, False, nrows)],
+                                  [(_P, False, nrows), (None, False, nrows)][:1 + (field is QQ)])
                 ignored += 1
+                continue
+            if field is QQ:
+                # no denominator here is a multiple of _P
+                assert shapes[0] == (_P, True, ncols)
+                if len(runs[0][4]) == ncols:
+                    assert len(runs) == 1 and rank == ncols
+                    proved += 1
+                    continue
+                del runs[0], shapes[0]
+            pivoted = runs[0][4]
+            if len(pivoted) == ncols:
+                assert shapes == [(prime, False, ncols)] and rank == ncols
+                proved += 1
+                continue
+            others = nrows - len(set(rows))
+            assert shapes == [(prime, False, ncols), (prime, False, others)]
+            assert runs[1][3] <= set(range(ncols)) - pivoted
+            assert len(pivoted) + len(runs[1][4]) == rank
+            singular += 1
     assert min(proved, singular, ignored) >= 20, (proved, singular, ignored)
 
 
 def test_rank_on_given_rows_over_q_where_p_divides_an_entry(monkeypatch):
-    """Chosen rows whose rank falls short mod _P send the whole matrix to
-    the kernel mod _P and, if that falls short too, over Z: never the
-    chosen rows alone.  A denominator divisible by _P in the chosen rows
-    skips them, and in the whole matrix sends it to Z at once; the rank is
-    the cofactor rank in every case."""
+    """Chosen rows whose rank falls short mod _P are ranked again over Z,
+    and only if they fall short there too the other rows times their
+    kernel: never the whole matrix.  A denominator divisible by _P in the
+    chosen rows sends them to Z at once, and elsewhere changes nothing;
+    the rank is the cofactor rank in every case."""
     calls = spy_on_pivot(monkeypatch)
     cases = [
-        # full over Q, the chosen rows short mod _P, the whole matrix full
-        ([[_P, 0], [0, 1], [1, 1]], (0, 1), 2, [_P, _P]),
-        # the whole matrix short mod _P as well: rows 0 and 2 agree there
-        ([[_P, 0], [0, 1], [2 * _P, 1]], (0, 1), 2, [_P, _P, None]),
-        ([[_P, 2 * _P], [1, 2], [3, 6]], (0, 1), 1, [_P, _P, None]),
+        # full over Q, the chosen rows short mod _P and full over Z
+        ([[_P, 0], [0, 1], [1, 1]], (0, 1), 2, [_P, None]),
+        ([[_P, 0], [0, 1], [2 * _P, 1]], (0, 1), 2, [_P, None]),
+        # short over Z as well: the other row times the kernel (-2, 1)
+        ([[_P, 2 * _P], [1, 2], [3, 6]], (0, 1), 1, [_P, None, None]),
+        ([[1, 2], [2, 4], [0, 1]], (0, 1), 2, [_P, None, None]),
         # a denominator divisible by _P, in the chosen rows or elsewhere
         ([[Fraction(1, _P), 0], [0, 1], [1, 1]], (0, 1), 2, [None]),
+        ([[Fraction(1, _P), Fraction(2, _P)], [1, 2], [0, 1]], (0, 1), 2, [None, None]),
         ([[Fraction(1, _P), 0], [0, 1], [1, 1]], (1, 2), 2, [_P]),
-        ([[Fraction(1, _P), Fraction(2, _P)], [1, 2], [3, 6]], (1, 2), 1, [_P, None]),
+        ([[Fraction(1, _P), Fraction(2, _P)], [1, 2], [3, 6]], (1, 2), 1, [_P, None, None]),
     ]
     for rows, chosen, rank, kernel_calls in cases:
         over_q = Mq(rows)
@@ -1177,6 +1197,61 @@ def test_rank_on_given_rows_over_q_where_p_divides_an_entry(monkeypatch):
         assert over_q.rank(chosen) == rank
         assert calls == kernel_calls
         assert over_q.rank() == rank == cofactor_rank(entries, over_q.nrows, over_q.ncols, QQ)
+
+
+@pytest.mark.parametrize("field", [F3, F101, FP, QQ], ids=["F3", "F101", "FP", "Q"])
+def test_rank_on_given_rows_of_every_kernel_dimension(field):
+    """Seeded tall matrices whose chosen rows have a kernel of dimension 0,
+    1 and 2 or more: among them chosen rows that are singular where the
+    whole matrix has full column rank, chosen indices that repeat and,
+    over Q, a chosen row over a denominator divisible by _P.  The rank on
+    the chosen rows is the rank and the reference elimination's."""
+    rng = random.Random(f"kernel-rule-{field.name}")
+    entry = nonzero_entry(field, rng)
+
+    def combination(rows, ncols):
+        coeffs = [entry() for _ in rows]
+        return [sum((c * r[j] for c, r in zip(coeffs, rows)), field.zero) for j in range(ncols)]
+
+    seen = dict.fromkeys(("nullity 0", "nullity 1", "nullity 2+", "full", "repeats", "den _P"), 0)
+    for _ in range(150):
+        ncols = rng.randrange(1, 8)
+        nullity = rng.randrange(0, min(ncols, 3) + 1)
+        rows = [[entry() if rng.random() < 0.7 else field.zero for _ in range(ncols)]
+                for _ in range(ncols - nullity)]
+        basis, picked, repeats = list(rows), list(range(len(rows))), 0
+        for _ in range(nullity):
+            if picked and rng.random() < 0.4:
+                picked.append(rng.choice(picked))
+                repeats += 1
+            else:
+                rows.append(combination(basis, ncols))
+                picked.append(len(rows) - 1)
+        scaled = field is QQ and basis and rng.random() < 0.3
+        if scaled:
+            rows[0] = [e / _P for e in rows[0]]
+        # more rows than the chosen ones: random, or in the chosen rows' span
+        for _ in range(repeats + rng.randrange(1, 4)):
+            if basis and rng.random() < 0.3:
+                rows.append(combination(basis, ncols))
+            else:
+                rows.append([entry() if rng.random() < 0.6 else field.zero for _ in range(ncols)])
+        place = rng.sample(range(len(rows)), len(rows))
+        shuffled = [None] * len(rows)
+        for i, row in zip(place, rows):
+            shuffled[i] = row
+        chosen = [place[i] for i in picked]
+        m = Matrix(field, shuffled, ncols)
+        rank = m.rank(chosen)
+        assert rank == m.rank() == left_to_right_rank(m), (shuffled, chosen)
+        r0 = left_to_right_rank(Matrix(field, [shuffled[i] for i in chosen], ncols))
+        seen[("nullity 0", "nullity 1")[ncols - r0] if ncols - r0 < 2 else "nullity 2+"] += 1
+        seen["full"] += r0 < ncols == rank
+        seen["repeats"] += repeats > 0
+        seen["den _P"] += bool(scaled)
+    if field is not QQ:
+        del seen["den _P"]
+    assert min(seen.values()) >= 10, seen
 
 
 # ---------------------------------------------------------------------------
