@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import InputError, ShapeError
 from .hilbert import DegreeProfile, hilbert_h
 from .koszul import koszul_term
-from .linalg import Matrix
+from .linalg import Matrix, _prime
 from .polynomials import (
     MonomialSet,
     MultiPoly,
@@ -229,62 +229,100 @@ def _factors(m) -> tuple:
     return tuple((i, e) for i, e in enumerate(m) if e)
 
 
-def _terms(f: MultiPoly) -> list:
-    """f as its (coefficient, ``_factors``) pairs."""
-    return [(c, _factors(m)) for m, c in f.terms.items()]
+def _cleared(f: MultiPoly, p) -> tuple:
+    """f as integers over one positive denominator den, the least common
+    multiple of its coefficients' (over F_p residues and 1): its terms
+    {m: a} with f = sum a x^m / den, and den."""
+    if p:
+        return {m: c.val for m, c in f.terms.items()}, 1
+    den = functools.reduce(math.lcm, (c.denominator for c in f.terms.values()), 1)
+    return {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}, den
 
 
-def _at(powers, factors, v):
-    """v * x^m at a root, x^m given by its ``_factors`` and the root by its
-    power table: ``powers[i][e]`` is x_i^e."""
-    for i, e in factors:
-        v = v * powers[i][e]
-    return v
+def _partial(terms: dict, j: int) -> dict:
+    """d/dx_j of the integral terms {m: a}, over the same denominator."""
+    return {m[:j] + (m[j] - 1,) + m[j + 1 :]: a * m[j] for m, a in terms.items() if m[j]}
 
 
-def _value(powers, terms, zero):
-    """A polynomial, given by its ``_terms``, at a root."""
-    return sum((_at(powers, factors, c) for c, factors in terms), zero)
+def _homogeneous(terms: dict, d: int) -> tuple:
+    """Integral terms {m: a} of degree at most d as (a, factors) pairs, the
+    ``_factors`` of m with d - |m| appended: read at a root X / D, whose
+    power table holds D's powers after the coordinates', each term is
+    a X^m D^(d - |m|)."""
+    return tuple((a, _factors(m + (d - sum(m),))) for m, a in terms.items())
+
+
+def _numerator(powers, terms, p) -> int:
+    """The sum of ``_homogeneous`` terms at a root, from its power table
+    (``powers[i][e]`` is X_i^e, and D^e for i = n), mod p over F_p: the
+    numerator of the polynomial's value over den * D^d."""
+    total = 0
+    for v, factors in terms:
+        for i, e in factors:
+            v *= powers[i][e]
+        total += v
+    return total % p if p else total
+
+
+def _row(powers, polys, p) -> dict:
+    """The non-zero ``_numerator`` of each of polys at a root, by position."""
+    return {k: v for k, f in enumerate(polys) if (v := _numerator(powers, f, p))}
 
 
 def vandermonde_verify(sys: PolySystem, roots, M: MonomialSet) -> VandermondeReport:
     """Check det(M(M))^2 * Res^(2*delta - rho + 1) = +-J * (Delta^delta)^2.
 
     The caller supplies all bezout-many simple roots; each is verified to
-    be a common zero, and no two may coincide.  The partials
-    d f_i / d x_j are formed once per call.  Each root zeta gets one table
-    of its coordinate powers x_i^e, e up to the largest d_i and exponent
-    of M, from which are read every f_j(zeta), the row m(zeta) of the grid
-    and the n x n matrix of partials at zeta, whose determinant, taken by
-    the one elimination kernel, is J(zeta); J is their product over the
-    roots.  Res and Delta^delta are read from ``certify_basis``.  For
-    M = M0 the exact sign constant of the classical identity is checked as
-    well.
+    be a common zero, and no two may coincide.  The check runs on
+    integers.  Each root is written as integers X over one positive
+    denominator D (over F_p residues, and D = 1), and each f_i, and each
+    of its partials d f_i / d x_j, as integers over den_i, the least
+    common multiple of f_i's coefficient denominators, once per call.
+    One table of the powers X_i^e and D^e, e up to the largest d_i and
+    the top degree g of M, then gives: the common-root test as
+    f_i(zeta) * den_i * D^d_i; the row of the grid M(M) at zeta as the
+    X^m * D^(g - |m|) over D^g; and row i of the n x n matrix of partials
+    at zeta over den_i * D^(d_i - 1).  Grid and partials go to the one
+    elimination kernel as stored rows; the partials' determinant is
+    J(zeta), and J is their product over the roots.  Field elements are
+    made only for each determinant and for the report.  Res and
+    Delta^delta are read from ``certify_basis``.  For M = M0 the exact
+    sign constant of the classical identity is checked as well.
     """
     profile = _check_question(sys, M)
-    field = sys.field
-    zero, one = field.zero, field.one
+    field, p = sys.field, _prime(sys.field)
     roots = [tuple(field.of(x) for x in pt) for pt in roots]
     if len(roots) != profile.bezout:
         raise InputError(f"expected {profile.bezout} roots, got {len(roots)}")
-    top = max(*profile.degrees, *(e for m in M for e in m))
-    polys = [_terms(f) for f in sys.polys]
-    partials = [[_terms(f.partial(j)) for j in range(sys.n)] for f in sys.polys]
-    columns = [_factors(m) for m in M]
-    grid = []
-    jprod = one
+    n, g = sys.n, M.delta
+    top = max(*profile.degrees, g)
+    polys, partials = [], []
+    for f, d in zip(sys.polys, profile.degrees):
+        terms, den = _cleared(f, p)
+        polys.append(_homogeneous(terms, d))
+        partials.append(([_homogeneous(_partial(terms, j), d - 1) for j in range(n)], den, d - 1))
+    columns = [_homogeneous({m: 1}, g) for m in M]
+    grid, dens = [], []
+    jprod = field.one
     for pt in roots:
-        if len(pt) != sys.n:
+        if len(pt) != n:
             raise InputError("root with the wrong number of coordinates")
-        powers = [[x**e for e in range(top + 1)] for x in pt]
-        if any(_value(powers, f, zero) for f in polys):
+        if p:
+            xs, D = [x.val for x in pt], 1
+        else:
+            D = functools.reduce(math.lcm, (x.denominator for x in pt), 1)
+            xs = [x.numerator * (D // x.denominator) for x in pt]
+        powers = [[pow(x, e, p) for e in range(top + 1)] for x in (*xs, D)]
+        if any(_numerator(powers, f, p) for f in polys):
             raise InputError(f"supplied point {pt} is not a common root")
-        grid.append([_at(powers, factors, one) for factors in columns])
-        jac = [[_value(powers, d, zero) for d in row] for row in partials]
-        jprod = jprod * Matrix(field, jac, ncols=sys.n).det()
+        grid.append(_row(powers, columns, p))
+        dens.append(powers[n][g])
+        jac = [_row(powers, row, p) for row, _, _ in partials]
+        jdens = None if p else [den * powers[n][k] for _, den, k in partials]
+        jprod = jprod * Matrix._valid(field, jac, n, jdens).det()
     if len(set(roots)) != len(roots):
         raise InputError("repeated roots: the identity needs distinct roots")
-    det_value = Matrix(field, grid, ncols=len(M)).det()
+    det_value = Matrix._valid(field, grid, len(M), None if p else dens).det()
 
     cert = certify_basis(sys, M)
     res = cert.res_value

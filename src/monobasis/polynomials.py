@@ -200,19 +200,6 @@ class MultiPoly:
             out[dm] = out.get(dm, self.field.zero) + c * m[i]
         return MultiPoly(self.field, self.nvars, out)
 
-    def evaluate(self, point):
-        if len(point) != self.nvars:
-            raise ShapeError(f"expected {self.nvars} coordinates, got {len(point)}")
-        pt = [self.field.of(x) for x in point]
-        total = self.field.zero
-        for m, c in self.terms.items():
-            v = c
-            for x, e in zip(pt, m):
-                if e:
-                    v = v * x**e
-            total = total + v
-        return total
-
     def substitute(self, replacements) -> "MultiPoly":
         """Substitute replacements[i] for variable i (composition)."""
         if len(replacements) != self.nvars:

@@ -22,8 +22,11 @@ grammar, values and error messages are compared too, and the stdout and
 exit code of ``basis-check --oracle``, ``resultant``, ``subresultant`` and
 ``mulmat`` on one (2,2,2) system with fractional coefficients and its set
 M0, over Q and over F_101, so that Koszul rows whose denominators are not
-1 are compared as well.  A change that should move no answer must leave
-this text as it was:
+1 are compared as well, and each field of the report of
+``vandermonde_verify`` on one transformed (2,2,2) power system with f_i
+divided by 2, 3 and 5, over Q and over F_101, so that equations whose
+coefficients have denominators other than 1 are evaluated at roots too.
+A change that should move no answer must leave this text as it was:
 
     python tests/answers.py base/src > base.txt
     python tests/answers.py src > head.txt
@@ -37,6 +40,7 @@ import io
 import os
 import sys
 import tempfile
+from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("q-dense", "fp-dense", "sparse-cli")
@@ -81,17 +85,33 @@ def answer(cli, argv, stderr=False) -> str:
     return f"{shown}exit={code}\n"
 
 
+def report(monobasis, system, roots, M) -> str:
+    """The report of ``vandermonde_verify`` on a system, its roots and a
+    set, one ``key=repr(value)`` line per field."""
+    try:
+        rep = monobasis.vandermonde_verify(system, roots, M)
+    except monobasis.AlgebraError as exc:
+        return f"error={type(exc).__name__}: {exc}\n"
+    return "".join(f"{f.name}={getattr(rep, f.name)!r}\n" for f in dataclasses.fields(rep))
+
+
 def transformed(monobasis, ident) -> str:
-    """The report of ``vandermonde_verify`` on a transformed power system,
-    its roots and its set, one ``key=repr(value)`` line per field."""
+    """The report on a benchmark's transformed power system, as it reads it."""
     field = monobasis.field_from_spec(f"fp:{ident.p}" if ident.p else "q")
     system = monobasis.cli.load_system(ident.path, field)
     roots = [tuple(field.of(x) for x in z) for z in ident.roots]
-    try:
-        report = monobasis.vandermonde_verify(system, roots, monobasis.MonomialSet(ident.mset))
-    except monobasis.AlgebraError as exc:
-        return f"error={type(exc).__name__}: {exc}\n"
-    return "".join(f"{f.name}={getattr(report, f.name)!r}\n" for f in dataclasses.fields(report))
+    return report(monobasis, system, roots, monobasis.MonomialSet(ident.mset))
+
+
+def scaled(monobasis, field) -> str:
+    """The report on x_i^2 - b_i^2, b = (1, 2, 3), composed with x -> L x,
+    det L = -3, and f_i divided by 2, 3 and 5, with its set M0."""
+    system, roots = monobasis.power_system(field, (2, 2, 2), [1, 2, 3])
+    L = monobasis.Matrix(field, [[1, 2, 0], [0, 1, -1], [2, 0, 1]])
+    system = monobasis.linear_transform(system, L)
+    polys = [f * Fraction(1, c) for f, c in zip(system.polys, (2, 3, 5))]
+    return report(monobasis, monobasis.PolySystem(polys, system.degrees),
+                  monobasis.transform_roots(roots, L), monobasis.m0_set((2, 2, 2)))
 
 
 def main(argv=None) -> int:
@@ -155,6 +175,9 @@ def main(argv=None) -> int:
             ):
                 print(f"# fractional (2,2,2) {field} {command[0]}")
                 sys.stdout.write(answer(cli, command))
+    for field in (monobasis.QQ, monobasis.GF(101)):
+        print(f"# scaled transformed (2,2,2) {field.name} vandermonde")
+        sys.stdout.write(scaled(monobasis, field))
     return 0
 
 

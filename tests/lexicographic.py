@@ -16,8 +16,10 @@ matrix entry by entry, as field elements, never its stored rows.
 forms: the determinant of their Sylvester matrix, which no Koszul complex
 builds.  ``jacobian`` is the reference for the Jacobian determinant J: the
 symbolic det(d f_i / d x_j), expanded by cofactors, where the library
-takes each J(zeta) numerically.  ``dehomogenize`` and ``m1_set`` serve the
-tests alone.
+takes each J(zeta) numerically.  ``evaluate`` is the reference for a
+polynomial's value at a point, term by term in field elements, where the
+library reads it from integer powers of the point over one denominator.
+``dehomogenize`` and ``m1_set`` serve the tests alone.
 """
 from __future__ import annotations
 
@@ -186,6 +188,21 @@ def jacobian(sys) -> MultiPoly:
         raise ShapeError("Jacobian requires as many polynomials as variables")
     rows = [[f.partial(j) for j in range(sys.nvars)] for f in sys.polys]
     return _poly_det(rows)
+
+
+def evaluate(f: MultiPoly, point):
+    """f at a point, each coordinate coerced into f's field."""
+    if len(point) != f.nvars:
+        raise ShapeError(f"expected {f.nvars} coordinates, got {len(point)}")
+    pt = [f.field.of(x) for x in point]
+    total = f.field.zero
+    for m, c in f.terms.items():
+        v = c
+        for x, e in zip(pt, m):
+            if e:
+                v = v * x**e
+        total = total + v
+    return total
 
 
 def dehomogenize(p: MultiPoly) -> MultiPoly:

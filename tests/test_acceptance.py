@@ -43,7 +43,7 @@ from monobasis.subresultants import (
     subresultant_delta,
 )
 
-from lexicographic import jacobian, m1_set, sylvester_resultant
+from lexicographic import evaluate, jacobian, m1_set, sylvester_resultant
 
 F101 = GF(101)
 F13 = GF(13)
@@ -324,12 +324,12 @@ def test_10_bivariate_closed_form():
         M1 = m1_set(d1, d2)
         for _ in range(10):
             sysL, rootsL = _transformed_grid(rng, F, (d1, d2))
-            grid = [[MultiPoly.monomial(F, m).evaluate(pt) for m in M1] for pt in rootsL]
+            grid = [[evaluate(MultiPoly.monomial(F, m), pt) for m in M1] for pt in rootsL]
             det = Matrix(F, grid, ncols=len(M1)).det()
             jac = jacobian(sysL)
             J = F.one
             for pt in rootsL:
-                J = J * jac.evaluate(pt)
+                J = J * evaluate(jac, pt)
             ups = upsilon_bivariate(sysL.polys[0], sysL.polys[1], d1, d2)
             assert ups == det * det / J
             checked += 1
@@ -399,9 +399,9 @@ def test_12_resultant_sanity():
         for i, d in enumerate(degrees):
             f = _random_poly(rng, F101, n, d, homogeneous=True, monic=i)
             pure = tuple(d if j == i else 0 for j in range(n))
-            corr = f.evaluate(point) / point[i] ** d
+            corr = evaluate(f, point) / point[i] ** d
             f = f + MultiPoly.monomial(F101, pure, -corr)
-            assert not f.evaluate(point)
+            assert not evaluate(f, point)
             polys.append(f)
         assert not resultant_macaulay(PolySystem(polys, degrees))
         zero += 1

@@ -15,6 +15,7 @@ from monobasis import (
     MultiPoly,
     PolySystem,
     ShapeError,
+    VandermondeReport,
     certify_basis,
     degree_bound_reject,
     factorize_delta,
@@ -38,11 +39,12 @@ from monobasis.linalg import _P
 from monobasis.resultants import macaulay_matrix
 
 from conftest import identity_matrix, lifted_m0, random_system, sparse_affine
-from lexicographic import jacobian, m1_set
+from lexicographic import evaluate, jacobian, m1_set
 from sweep import seeded_system, sweep
 
 F13 = GF(13)
 F101 = GF(101)
+FP62 = GF(2**62 - 57)
 
 
 def qpoly(terms, nvars):
@@ -197,7 +199,7 @@ def test_multiplication_matrix_charpoly_via_roots():
     )
     mm = multiplication_matrix(sys_, M, g)
     for pt in roots:
-        lam = g.evaluate(pt)
+        lam = evaluate(g, pt)
         shifted = Matrix(
             F13,
             [
@@ -225,10 +227,10 @@ def test_multiplication_matrix_det_after_its_rank(field):
         rows = [dict(r) for r in mm.matrix.rows]
         want = field.one
         for pt in roots:
-            want = want * g.evaluate(pt)
+            want = want * evaluate(g, pt)
         assert mm.det() == want
         assert mm.matrix.rows == rows
-        assert mm.kernel_dim == sum(1 for pt in roots if not g.evaluate(pt))
+        assert mm.kernel_dim == sum(1 for pt in roots if not evaluate(g, pt))
 
 
 def test_multiplication_needs_certified_basis():
@@ -254,12 +256,12 @@ def test_upsilon_matches_roots_on_transformed_grid():
         sysL = linear_transform(sys0, L)
         rootsL = transform_roots(roots0, L)
         M1 = m1_set(d1, d2)
-        grid = [[MultiPoly.monomial(F, m).evaluate(pt) for m in M1] for pt in rootsL]
+        grid = [[evaluate(MultiPoly.monomial(F, m), pt) for m in M1] for pt in rootsL]
         det = Matrix(F, grid, ncols=len(M1)).det()
         jac = jacobian(sysL)
         J = F.one
         for pt in rootsL:
-            J = J * jac.evaluate(pt)
+            J = J * evaluate(jac, pt)
         ups = upsilon_bivariate(sysL.polys[0], sysL.polys[1], d1, d2)
         assert ups == det * det / J
 
@@ -306,14 +308,14 @@ def test_vandermonde_matches_the_symbolic_jacobian_and_the_monomial_grid(degrees
     sys_, roots = linear_transform(sys0, L), transform_roots(roots0, L)
     profile = DegreeProfile(degrees)
     jac = jacobian(sys_)
-    J = math.prod((jac.evaluate(pt) for pt in roots), start=field.one)
+    J = math.prod((evaluate(jac, pt) for pt in roots), start=field.one)
     m0 = m0_set(degrees)
     top = tuple(d - 1 for d in degrees)
     high = (degrees[0] + 1,) + (0,) * (len(degrees) - 1)
     traded = MonomialSet([m for m in m0 if m != top] + [high])
     for M in (m0, traded):
         rep = vandermonde_verify(sys_, roots, M)
-        grid = [[MultiPoly.monomial(field, m).evaluate(pt) for m in M] for pt in roots]
+        grid = [[evaluate(MultiPoly.monomial(field, m), pt) for m in M] for pt in roots]
         det = Matrix(field, grid, ncols=len(M)).det()
         assert rep.jacobian_product == J
         assert rep.det_value == det
@@ -341,6 +343,137 @@ def test_vandermonde_matches_the_symbolic_jacobian_and_the_monomial_grid(degrees
     assert message(roots[:-1] + roots[:1]) == "repeated roots: the identity needs distinct roots"
     assert message(roots[:-1] + [roots[-1][1:]]) == "root with the wrong number of coordinates"
     assert message(roots[:-1]) == f"expected {len(roots)} roots, got {len(roots) - 1}"
+
+
+def vandermonde_reference(sys_, roots, M):
+    """What ``vandermonde_verify`` returns, from field elements alone: the
+    message of the first check that fails, in its order (every coordinate
+    read into the field, the root count, each root's length and then
+    whether it is a common zero, distinct roots, Res != 0), else the
+    report, with det_value the det of the grid of ``evaluate`` values and
+    J the product of the symbolic Jacobian's values."""
+    field, profile = sys_.field, DegreeProfile(sys_.degrees)
+    try:
+        roots = [tuple(field.of(x) for x in pt) for pt in roots]
+    except InputError as exc:
+        return str(exc)
+    if len(roots) != profile.bezout:
+        return f"expected {profile.bezout} roots, got {len(roots)}"
+    for pt in roots:
+        if len(pt) != sys_.n:
+            return "root with the wrong number of coordinates"
+        if any(evaluate(f, pt) for f in sys_.polys):
+            return f"supplied point {pt} is not a common root"
+    if len(set(roots)) != len(roots):
+        return "repeated roots: the identity needs distinct roots"
+    cert = certify_basis(sys_, M)
+    if not cert.res_value:
+        return "resultant of the leading forms vanishes"
+    jac = jacobian(sys_)
+    J = math.prod((evaluate(jac, pt) for pt in roots), start=field.one)
+    grid = [[evaluate(MultiPoly.monomial(field, m), pt) for m in M] for pt in roots]
+    det = Matrix(field, grid, ncols=len(M)).det()
+    lhs = det**2 * cert.res_value ** (2 * cert.t_used - profile.rho + 1)
+    rhs = J * cert.delta_value**2
+    matched = 1 if lhs == rhs else -1 if lhs == -rhs else None
+    c = sign_constant(profile)
+    return VandermondeReport(
+        det_value=det,
+        jacobian_product=J,
+        sign_const=c,
+        matched_sign=matched,
+        identity_residual=field.zero if matched else lhs - rhs,
+        disp_exact=lhs == c * rhs if set(M) == set(m0_set(profile.degrees)) else None,
+        resultant_value=cert.res_value,
+        subresultant_value=cert.delta_value,
+        t_used=cert.t_used,
+    )
+
+
+def assert_vandermonde_as_reference(sys_, roots, M):
+    """``vandermonde_verify`` gives the reference's report, field by field
+    and type by type, or raises InputError with its message; returns it."""
+    want = vandermonde_reference(sys_, roots, M)
+    try:
+        got = vandermonde_verify(sys_, roots, M)
+    except InputError as exc:
+        got = str(exc)
+    assert got == want and repr(got) == repr(want)
+    return want
+
+
+def affine_power_system(rng, field, degrees):
+    """x_i^d_i - b_i^d_i, b_i in 1..3, composed with x -> L x + s and
+    divided by c_i in {2, 3, 5}, and its roots.  L has entries in -3..3
+    times 2, 3, 5 in columns 1, 2, 3, so that over Q the coordinates of a
+    root y = L^-1 (x - s) take unlike denominators, and L[0][n - 1] = 0,
+    so that f_1 lacks x_n; s takes the first root to an integer point
+    with a zero coordinate."""
+    n = len(degrees)
+    sys0, roots0 = power_system(field, degrees, [rng.randint(1, 3) for _ in range(n)])
+    while True:
+        L = [[rng.randint(-3, 3) * k for k in (2, 3, 5)[:n]] for _ in range(n)]
+        L[0][n - 1] = 0
+        Lm = Matrix(field, L)
+        if Lm.det():
+            break
+    y = [rng.randint(-2, 2) for _ in range(n)]
+    y[rng.randrange(n)] = 0
+    s = [x - sum(a * b for a, b in zip(row, y)) for x, row in zip(roots0[0], L)]
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    images = [MultiPoly(field, n, {**dict(zip(units, row)), (0,) * n: si}) for row, si in zip(L, s)]
+    polys = [f.substitute(images) * Fraction(1, rng.choice((2, 3, 5))) for f in sys0.polys]
+    roots = transform_roots([tuple(x - si for x, si in zip(pt, s)) for pt in roots0], Lm)
+    assert roots[0] == tuple(field.of(v) for v in y)
+    return PolySystem(polys, degrees), roots
+
+
+@pytest.mark.parametrize("field, degrees", [
+    (QQ, (2, 1, 2)), (QQ, (1, 2, 2)), (F101, (2, 2, 1)), (F101, (1, 4)),
+    (FP62, (3, 1, 2)), (FP62, (2, 3)),
+], ids=["212-Q", "122-Q", "221-F101", "14-F101", "312-FP62", "23-FP62"])
+def test_vandermonde_equals_its_field_element_reference(field, degrees):
+    """Seeded systems whose integer forms hold what the power systems of
+    the benchmark never do: roots with unlike denominators and zero
+    coordinates, equations with fractional coefficients, a degree-1
+    equation with constant partials, and an f_i without some x_j, whose
+    partial is empty.  Every field of the report, and the message of the
+    first check that fails on root data with two faults, is the
+    reference's."""
+    unlike = fractional = False
+    for seed in range(3):
+        rng = random.Random(f"{seed}:{field.name}:{degrees}")
+        sys_, roots = affine_power_system(rng, field, degrees)
+        assert any(not f.partial(j) for f in sys_.polys for j in range(sys_.n))
+        assert any(not x for x in roots[0])
+        if field == QQ:
+            # denominators whose lcm is none of them
+            unlike |= any(math.lcm(*(x.denominator for x in pt)) > max(x.denominator for x in pt)
+                          for pt in roots)
+            fractional |= any(c.denominator > 1 for f in sys_.polys for c in f.terms.values())
+        m0 = m0_set(degrees)
+        top = tuple(d - 1 for d in degrees)
+        high = (degrees[0] + 1,) + (0,) * (len(degrees) - 1)
+        for M in (m0, MonomialSet([m for m in m0 if m != top] + [high])):
+            rep = assert_vandermonde_as_reference(sys_, roots, M)
+            assert isinstance(rep, VandermondeReport)
+        n, bad, short = len(degrees), (roots[0][0] + 1,) + roots[0][1:], roots[1][1:]
+        for case, message in (
+            ([("oops",) * n] + roots[2:], f"cannot coerce 'oops' into {field.name}"),
+            (roots[:-1], "expected "),
+            ([short, bad] + roots[2:], "root with the wrong number of coordinates"),
+            ([bad, short] + roots[2:], "supplied point "),
+            (roots[:1] + roots[:-2] + [bad], "supplied point "),
+            (roots[:-1] + roots[:1], "repeated roots"),
+        ):
+            assert assert_vandermonde_as_reference(sys_, case, m0).startswith(message)
+    assert unlike and fractional or field != QQ
+    # x1 - x2 and x1^2 - x2^2 share every (t, t) and their leading forms
+    # the zero (1, 1) at infinity: distinct roots fail on Res alone
+    line = parsed_system(["x1 - x2", "x1^2 - x2^2"], (1, 2), field)
+    m0 = m0_set((1, 2))
+    assert assert_vandermonde_as_reference(line, [(0, 0), (1, 1)], m0).startswith("resultant")
+    assert assert_vandermonde_as_reference(line, [(1, 1), (1, 1)], m0).startswith("repeated")
 
 
 def sparse_system(rng, field, degrees):
@@ -415,7 +548,7 @@ def test_rank_oracle_rejects_leading_forms_with_a_common_zero():
     for field in (QQ, F101):
         sys_ = parsed_system(texts, (2, 2, 2), field)
         # the leading forms x1*x2, x2*x3, x1*x3 share the zero (1 : 0 : 0)
-        assert all(not f.evaluate((1, 0, 0)) for f in sys_.leading_forms().polys)
+        assert all(not evaluate(f, (1, 0, 0)) for f in sys_.leading_forms().polys)
         assert rank_oracle(sys_, m0_set((2, 2, 2))) is False
 
 

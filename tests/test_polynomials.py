@@ -18,7 +18,7 @@ from monobasis import (
     monomials_of_degree,
 )
 
-from lexicographic import dehomogenize, jacobian
+from lexicographic import dehomogenize, evaluate, jacobian
 
 F13 = GF(13)
 
@@ -79,7 +79,7 @@ def test_partial_derivative():
 
 def test_evaluate():
     f = P({(2, 0): 1, (0, 1): 1}, field=F13)
-    assert f.evaluate([3, 4]) == F13.of(0)  # 9 + 4 = 13
+    assert evaluate(f, [3, 4]) == F13.of(0)  # 9 + 4 = 13
 
 
 def test_homogenize_dehomogenize_roundtrip():

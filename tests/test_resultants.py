@@ -23,7 +23,7 @@ from monobasis import (
 )
 from monobasis.resultants import macaulay_matrix
 
-from lexicographic import sylvester_resultant
+from lexicographic import evaluate, sylvester_resultant
 
 F101 = GF(101)
 
@@ -129,7 +129,7 @@ def test_resultant_vanishes_iff_projective_common_root_exists():
         if f.is_zero() or g.is_zero():
             continue
         has_root = any(
-            not f.evaluate(pt) and not g.evaluate(pt) for pt in points
+            not evaluate(f, pt) and not evaluate(g, pt) for pt in points
         )
         res = resultant_macaulay(PolySystem([f, g], (d1, d2)))
         if f.is_homogeneous_of(d1) and g.is_homogeneous_of(d2):
@@ -145,11 +145,11 @@ def test_trivariate_resultant_vanishes_on_common_root():
         for d in (2, 2, 2):
             terms = {m: F.of(rng.randrange(13)) for m in monomials_of_degree(3, d)}
             f = MultiPoly(F, 3, terms)
-            correction = f.evaluate([1, 1, 1])
+            correction = evaluate(f, [1, 1, 1])
             pure = (d, 0, 0)
             terms[pure] = terms.get(pure, F.zero) - correction
             f = MultiPoly(F, 3, terms)
-            assert not f.evaluate([1, 1, 1])
+            assert not evaluate(f, [1, 1, 1])
             polys.append(f)
         sys_ = PolySystem(polys, (2, 2, 2))
         assert not resultant_macaulay(sys_)
