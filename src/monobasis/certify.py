@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InputError, ShapeError
 from .hilbert import DegreeProfile, hilbert_h
-from .koszul import koszul_term
+from .koszul import _cleared, koszul_term
 from .linalg import Matrix, _prime
 from .polynomials import (
     MonomialSet,
@@ -48,13 +48,12 @@ __all__ = [
 # certificates
 
 
-@dataclass(frozen=True)
-class BasisCertificate:
-    res_value: object
-    delta_value: object
-    t_used: int
-    verdict: str  # "basis" | "not-basis"
-    product: object
+class BasisCertificate(namedtuple("BasisCertificate", [
+    "res_value", "delta_value", "t_used",
+    "verdict",  # "basis" | "not-basis"
+    "product",
+])):
+    __slots__ = ()
 
     @property
     def is_basis(self) -> bool:
@@ -161,11 +160,12 @@ def rank_oracle(sys: PolySystem, M: MonomialSet) -> bool:
 # factorization into n-variable subresultants
 
 
-@dataclass(frozen=True)
-class FactorizationReport:
-    applicable: bool
-    factors: tuple  # ((t, value), ...)
-    product: object
+class FactorizationReport(namedtuple("FactorizationReport", [
+    "applicable",
+    "factors",  # ((t, value), ...)
+    "product",
+])):
+    __slots__ = ()
 
 
 def factorize_delta(leading_forms: PolySystem, M: MonomialSet) -> FactorizationReport:
@@ -207,17 +207,14 @@ def sign_constant(profile: DegreeProfile) -> int:
     return -1 if e % 2 else 1
 
 
-@dataclass(frozen=True)
-class VandermondeReport:
-    det_value: object
-    jacobian_product: object
-    sign_const: int
-    matched_sign: object  # +1, -1 or None
-    identity_residual: object
-    disp_exact: object  # bool for M = M0, else None
-    resultant_value: object
-    subresultant_value: object
-    t_used: int
+class VandermondeReport(namedtuple("VandermondeReport", [
+    "det_value", "jacobian_product", "sign_const",
+    "matched_sign",  # +1, -1 or None
+    "identity_residual",
+    "disp_exact",  # bool for M = M0, else None
+    "resultant_value", "subresultant_value", "t_used",
+])):
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:
@@ -227,16 +224,6 @@ class VandermondeReport:
 def _factors(m) -> tuple:
     """The monomial x^m as its (i, m_i) pairs with m_i > 0."""
     return tuple((i, e) for i, e in enumerate(m) if e)
-
-
-def _cleared(f: MultiPoly, p) -> tuple:
-    """f as integers over one positive denominator den, the least common
-    multiple of its coefficients' (over F_p residues and 1): its terms
-    {m: a} with f = sum a x^m / den, and den."""
-    if p:
-        return {m: c.val for m, c in f.terms.items()}, 1
-    den = functools.reduce(math.lcm, (c.denominator for c in f.terms.values()), 1)
-    return {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}, den
 
 
 def _partial(terms: dict, j: int) -> dict:
@@ -383,11 +370,11 @@ def upsilon_bivariate(f1: MultiPoly, f2: MultiPoly, d1: int, d2: int):
 # multiplication matrices
 
 
-@dataclass(frozen=True)
-class MultiplicationMatrix:
-    matrix: Matrix  # bezout x bezout, column j = coordinates of m_j * g
-    g: MultiPoly
-    kernel_dim: int
+class MultiplicationMatrix(namedtuple("MultiplicationMatrix", [
+    "matrix",  # bezout x bezout, column j = coordinates of m_j * g
+    "g", "kernel_dim",
+])):
+    __slots__ = ()
 
     def det(self):
         return self.matrix.det()

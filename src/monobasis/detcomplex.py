@@ -36,7 +36,7 @@ square and has no columns to choose.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NotExact, NotFullRank
 from .hilbert import required_cardinality
@@ -52,13 +52,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DecompositionTrace:
+class DecompositionTrace(namedtuple("DecompositionTrace", [
+    "stage_minors",  # one MinorSelection per map index 1..s
+    "stage_dets", "delta",
+])):
     """Per-stage minors and determinants, and the final alternating product."""
 
-    stage_minors: tuple  # one MinorSelection per map index 1..s
-    stage_dets: tuple
-    delta: object
+    __slots__ = ()
 
 
 def _alternating_product(field, dets):

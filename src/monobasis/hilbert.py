@@ -6,17 +6,16 @@ ambient variable count.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, prod
 
 from .errors import InputError
+from .polynomials import _Frozen
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(_Frozen):
     """The degree data (d_1, ..., d_n) with its derived quantities."""
 
-    degrees: tuple
+    __slots__ = ("degrees",)
 
     def __init__(self, degrees):
         degrees = tuple(int(d) for d in degrees)

@@ -42,29 +42,28 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from math import lcm
 
 from .errors import InputError
 from .linalg import Matrix, _prime
-from .polynomials import PolySystem, monomials_of_degree
+from .polynomials import MultiPoly, PolySystem, monomials_of_degree
 
 __all__ = ["GradedComplex", "build_complex", "koszul_map", "koszul_term"]
 
 
-@dataclass(frozen=True)
-class GradedComplex:
-    """Terms (index k = 0..s) and differentials (index k = 1..s) of C_t^s."""
-
-    s: int
-    t: int
-    nvars: int
-    term_bases: tuple  # term_bases[k] = koszul_term(..., k, S) as a tuple
-    differentials: tuple  # [k-1]: term k -> k-1, rows on term k, columns on k-1
-    field: object
+class GradedComplex(namedtuple("GradedComplex", [
+    "s", "t", "nvars",
+    "term_bases",  # term_bases[k] = koszul_term(..., k, S) as a tuple
+    "differentials",  # [k-1]: term k -> k-1, rows on term k, columns on k-1
+    "field",
     # d_1..d_s, set by build_complex; () if the terms are not in
     # koszul_term's layout, and then no stage has Macaulay columns
-    degrees: tuple = ()
+    "degrees",
+], defaults=((),))):
+    """Terms (index k = 0..s) and differentials (index k = 1..s) of C_t^s."""
+
+    __slots__ = ()
 
     def dims(self) -> list:
         return [len(b) for b in self.term_bases]
@@ -155,17 +154,26 @@ def _codes(term, weights) -> list:
     return [sum(map(mul, m, weights)) for m, _ in term]
 
 
+def _cleared(f: MultiPoly, p) -> tuple:
+    """f as integers over one positive denominator den, the least common
+    multiple of its coefficients' (over F_p residues and 1): its terms
+    {m: a} with f = sum a x^m / den, and den."""
+    if p:
+        return {m: c.val for m, c in f.terms.items()}, 1
+    den = functools.reduce(lcm, (c.denominator for c in f.terms.values()), 1)
+    return {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}, den
+
+
 def _coded_terms(sys: PolySystem, weights) -> tuple:
     """Each f_i's terms as (code, value, negated value) triples, values in
-    the kernel's form, and the D_i: over F_p residues and 1, over Q the
-    coefficients times D_i, the least common denominator of f_i's."""
+    the kernel's form, and the D_i (``_cleared``): over F_p residues and 1,
+    over Q the coefficients times D_i, the least common denominator of
+    f_i's."""
     mul, p = operator.mul, _prime(sys.field)
     terms, dens = [], []
     for f in sys.polys:
-        cs = f.terms.values()
-        den = 1 if p else functools.reduce(lcm, (c.denominator for c in cs), 1)
-        vs = [c.val for c in cs] if p else [c.numerator * (den // c.denominator) for c in cs]
-        terms.append([(sum(map(mul, m, weights)), v, (p or 0) - v) for m, v in zip(f.terms, vs)])
+        cleared, den = _cleared(f, p)
+        terms.append([(sum(map(mul, m, weights)), v, (p or 0) - v) for m, v in cleared.items()])
         dens.append(den)
     return terms, dens
 

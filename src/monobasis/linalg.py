@@ -71,7 +71,7 @@ back-substituted with the free variables, the other columns of A, zero
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
@@ -535,13 +535,11 @@ def _transposed(m: Matrix, cols) -> Matrix:
     return Matrix._valid(m.field, transposed, m.nrows, None if m.dens is None else [den] * len(cols))
 
 
-@dataclass(frozen=True)
-class MinorSelection:
+class MinorSelection(namedtuple("MinorSelection", ["col_indices", "minor_value"])):
     """A non-zero maximal minor of a map with full row rank: its sorted
     column indices (the rows are all of them) and its determinant."""
 
-    col_indices: tuple
-    minor_value: object
+    __slots__ = ()
 
 
 def select_nonzero_maximal_minor(m: Matrix, cols=None) -> MinorSelection:

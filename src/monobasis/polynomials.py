@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import DegreeError, InputError, ShapeError
 
@@ -254,12 +253,39 @@ def homogenize(p: MultiPoly, declared_degree: int) -> MultiPoly:
     return MultiPoly._valid(p.field, p.nvars + 1, out)
 
 
-@dataclass(frozen=True)
-class PolySystem:
+class _Frozen:
+    """A record whose ``__slots__`` are its fields, set once by ``__init__``
+    through ``object.__setattr__``: read-only, equal to a record of its
+    class with equal fields, hashed and shown by them."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PolySystem(_Frozen):
     """A list of polynomials with declared degrees (deg f_i <= d_i)."""
 
-    polys: tuple
-    degrees: tuple
+    __slots__ = ("polys", "degrees")
 
     def __init__(self, polys, degrees):
         polys = tuple(polys)
@@ -303,11 +329,10 @@ class PolySystem:
         )
 
 
-@dataclass(frozen=True)
-class MonomialSet:
+class MonomialSet(_Frozen):
     """A candidate set of monomials in the affine variables x1..xn."""
 
-    monomials: tuple
+    __slots__ = ("monomials",)
 
     def __init__(self, monomials):
         monos = tuple(tuple(m) for m in monomials)

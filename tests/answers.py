@@ -35,7 +35,6 @@ A change that should move no answer must leave this text as it was:
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import io
 import os
 import sys
@@ -50,6 +49,11 @@ SYSTEM22 = "degrees: 2,2\nx1^2 - x2 - 1\nx2^2 + 3*x1*x2 - 2\n"
 SYSTEM222 = ("degrees: 2,2,2\nx1^2 - 1/2*x2 + 2/3*x3 - 1\n1/5*x2^2 + 3/4*x1*x3 - 2\n"
              "2/7*x3^2 - x1*x2 + 5/3*x1 + 1/2\n")
 M0_222 = "1,x1,x2,x3,x1*x2,x1*x3,x2*x3,x1*x2*x3"
+# VandermondeReport's fields in order, named here so that the script
+# reads the report the same way on either side of a change to its type
+REPORT_FIELDS = ("det_value", "jacobian_product", "sign_const", "matched_sign",
+                 "identity_residual", "disp_exact", "resultant_value",
+                 "subresultant_value", "t_used")
 # accepted, read directly or by the polynomial parser, then rejected; N
 # stands for a number one digit past the interpreter's int-string limit
 SPELLINGS = (
@@ -92,7 +96,7 @@ def report(monobasis, system, roots, M) -> str:
         rep = monobasis.vandermonde_verify(system, roots, M)
     except monobasis.AlgebraError as exc:
         return f"error={type(exc).__name__}: {exc}\n"
-    return "".join(f"{f.name}={getattr(rep, f.name)!r}\n" for f in dataclasses.fields(rep))
+    return "".join(f"{name}={getattr(rep, name)!r}\n" for name in REPORT_FIELDS)
 
 
 def transformed(monobasis, ident) -> str:

@@ -1,5 +1,4 @@
 """Determinants of exact complexes: two decomposition orders must agree."""
-import dataclasses
 import math
 import random
 
@@ -378,7 +377,7 @@ def free_descending(c):
     """The descending value with every stage's minor from the free pivot
     on its whole restricted map: c without the degrees that name the
     Macaulay columns."""
-    return decompose_descending(dataclasses.replace(c, degrees=())).delta
+    return decompose_descending(c._replace(degrees=())).delta
 
 
 def spy_on_given_columns(monkeypatch):

@@ -1,8 +1,11 @@
 """Every name a library module imports is used in that module, and every
-name it exports is defined there."""
+name it exports is defined there; importing the package loads neither
+dataclasses nor inspect."""
 import ast
 import importlib
 import pathlib
+import subprocess
+import sys
 
 import monobasis
 
@@ -75,3 +78,38 @@ def test_library_modules_define_every_exported_name():
         if missing:
             stale[path.name] = missing
     assert stale == {}
+
+
+def imported_modules(source: str) -> set:
+    """The top-level names of the modules a source imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_no_library_module_imports_dataclasses():
+    # dataclasses compiles each record's methods through exec on every
+    # import, most of the package's import time
+    importers = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "dataclasses" in imported_modules(path.read_text(encoding="utf-8"))
+    ]
+    assert importers == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # -S: no site module or .pth file imports them first
+    code = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import monobasis.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out == "[]\n"
